@@ -6,7 +6,8 @@ on one scenario), ``compare`` (paired multi-seed ensembles), ``gen``
 Outputs are deterministic given the input file and flags; the only
 wall-clock dependence is the optional timestamp header line, disabled
 with ``--no-header``.  Exit codes: 0 success, 1 expectation failure,
-2 input error.
+2 input error, 3 run aborted (the exact solver's node budget ran out, or
+an internal invariant check failed).
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from importlib import resources
 from pathlib import Path
 
 from . import io
-from .errors import ValidationError
+from .errors import InvariantViolation, ValidationError
 from .mechanisms import replay
 from .money import format_milli, to_milli
 from .rng import GENERATOR_NAME
 from .scenario import MechanismConfig, Scenario
 from .simlab import MECHANISMS, MechanismSpec, compare, evaluate, materialize
+from .wdp import SearchBudgetExceeded
 
 
 def _resolve_input(name: str, kind: str) -> object:
@@ -270,6 +272,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SearchBudgetExceeded as exc:
+        print(f"error: run aborted: exact solver {exc}", file=sys.stderr)
+        return 3
+    except InvariantViolation as exc:
+        print(f"error: run aborted: invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 """Auction mechanisms.
 
 ``run_srmra`` clears one round: winner determination over the effective
-bids, first-price payments, ledger charge.  ``run_repeated_srmra``
-cycles it over the horizon with budget clamping only, which is the
-baseline whose budgets burn out early.  ``run_mafl`` is the budget-aware
-framework: before each round it shrinks the previous winners' bids in
-proportion to their remaining budget, which stretches budgets across
-the horizon.  ``replay`` is the deterministic desk engine for
-unit-demand, single-pool examples, and ``run_double_auction`` is a
-simplified bid/ask matching baseline.
+bids, first-price or critical-value payments, ledger charge.
+``run_repeated_srmra`` cycles it over the horizon with budget clamping
+only, which is the baseline whose budgets burn out early.  ``run_mafl``
+is the budget-aware framework: before each round it shrinks the previous
+winners' bids in proportion to their remaining budget, which stretches
+budgets across the horizon.  ``replay`` is the deterministic desk
+engine for unit-demand, single-pool examples, and
+``run_double_auction`` is a simplified bid/ask matching baseline.
 """
 
 from __future__ import annotations
@@ -95,23 +95,54 @@ def adjust_bid(
     return min(adjusted, remaining)
 
 
-def _critical_payment(instance: WdpInstance, winner_id: int, solve) -> int:
-    # Smallest own bid (bisection, milli granularity) at which the buyer
-    # still wins; assumes winning is monotone in the own bid.
-    by_id = {b.buyer_id: b for b in instance.bids}
-    lo, hi = 1, by_id[winner_id].amount
-    while lo < hi:
-        mid = (lo + hi) // 2
-        trial_bids = tuple(
-            Bid(b.buyer_id, b.round, mid, b.demand) if b.buyer_id == winner_id else b
+def _wins_at(instance: WdpInstance, winner_id: int, amount: int, solve) -> bool:
+    """Whether the buyer wins the round when its own bid is ``amount``."""
+    trial = WdpInstance(
+        tuple(
+            Bid(b.buyer_id, b.round, amount, b.demand) if b.buyer_id == winner_id else b
             for b in instance.bids
-        )
-        trial = WdpInstance(tuple(b for b in trial_bids if b.amount > 0), instance.seller_caps)
-        if winner_id in solve(trial).assignment.buyers():
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+        ),
+        instance.seller_caps,
+    )
+    return winner_id in solve(trial).assignment.buyers()
+
+
+def _critical_payment(instance: WdpInstance, winner_id: int, solve, optimum: int | None) -> int:
+    """Smallest own bid in [1, b_i] (milli granularity) at which the buyer still wins.
+
+    With an optimal solver (``optimum`` is the round's optimal
+    objective) the threshold has a closed form.  The WDP maximizes the
+    sum of bids and bidders are single-minded, so with own bid x the
+    best allocation containing i is worth OPT - b_i + x and the best one
+    without i is worth OPT(without i); i wins for x above
+    t = OPT(without i) - (OPT - b_i) and loses below it (Archer & Tardos
+    2001, one-parameter agents).  At x = t the two optima tie and the
+    solver's search-order tie-break decides, so one confirming solve at
+    t tells t from t + 1.  That is at most two solves per winner.
+
+    A heuristic solver's objective is not OPT, so for it the payment is
+    found by bisection over the own bid, which assumes winning is
+    monotone in the own bid.
+    """
+    own = next(b.amount for b in instance.bids if b.buyer_id == winner_id)
+    if optimum is None:
+        lo, hi = 1, own
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _wins_at(instance, winner_id, mid, solve):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+    others = WdpInstance(
+        tuple(b for b in instance.bids if b.buyer_id != winner_id), instance.seller_caps
+    )
+    threshold = solve(others).objective - (optimum - own)
+    if threshold < 1:
+        return 1
+    if threshold >= own:
+        return own
+    return threshold if _wins_at(instance, winner_id, threshold, solve) else threshold + 1
 
 
 def run_srmra(
@@ -125,7 +156,8 @@ def run_srmra(
 
     Bids must already be clamped to remaining budgets (and adjusted, if
     a multi-round framework is driving).  Zero-amount bids never win;
-    winners pay their bids under first-price pricing.
+    winners pay their bids under first-price pricing and their critical
+    values (see ``_critical_payment``) under critical-value pricing.
     """
     if round_index is None:
         round_index = bids[0].round if bids else len(ledger.history) + 1
@@ -152,8 +184,9 @@ def run_srmra(
     if config.pricing == "first_price":
         payments = dict(winning_bids)
     else:
+        optimum = solution.objective if solution.optimal else None
         payments = {
-            buyer: _critical_payment(instance, buyer, solve) for buyer in winning_bids
+            buyer: _critical_payment(instance, buyer, solve, optimum) for buyer in winning_bids
         }
     outcome = RoundOutcome(
         round=round_index,

@@ -49,11 +49,27 @@ def format_milli(amount: int) -> str:
     return f"{sign}{amount // SCALE}.{amount % SCALE:03d}"
 
 
+def _floors_to_zero(amount: int, num: int, den: int, g: int) -> bool:
+    """True only if amount * (num/den)**g < 1, for 0 < num < den and amount > 0.
+
+    Decided in logarithms.  log(den/num) is taken as log1p of the gap
+    when the ratio is near 1, so no cancellation occurs and both sides
+    are far more accurate than the 1e-6 relative margin; inputs within
+    the margin answer False and are computed exactly.
+    """
+    gap = den - num
+    log_ratio = math.log1p(gap / num) if gap <= num else math.log(den) - math.log(num)
+    return g * log_ratio > math.log(amount) * (1 + 1e-6) + 1e-6
+
+
 def scale_by_ratio_pow(amount: int, num: int, den: int, exponent: float) -> int:
     """floor(amount * (num/den) ** exponent), all amounts in milli-units.
 
     Integer exponents use exact integer arithmetic; fractional exponents
-    fall back to float pow and floor.
+    fall back to float pow and floor.  Integer exponents above 1 first
+    take the cases that need no big powers: a ratio of 1 keeps the
+    amount, and a ratio of 0 or a result that provably floors to 0 gives
+    0, so a huge exponent such as 1e9 on a shrinking ratio costs nothing.
     """
     if den <= 0:
         raise ValueError("den must be positive")
@@ -63,6 +79,11 @@ def scale_by_ratio_pow(amount: int, num: int, den: int, exponent: float) -> int:
         raise ValueError("exponent must be finite and non-negative")
     if exponent == int(exponent):
         g = int(exponent)
+        if g > 1:
+            if num == den:
+                return amount
+            if amount == 0 or num == 0 or (num < den and _floors_to_zero(amount, num, den, g)):
+                return 0
         return amount * num**g // den**g
     if num == 0:
         return 0

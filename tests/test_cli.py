@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mdcauction import ValidationError
+from mdcauction import InvariantViolation, SearchBudgetExceeded, ValidationError, mechanisms
 from mdcauction.cli import main
 from mdcauction.io import (
     detect_kind,
@@ -174,6 +174,24 @@ class TestRunCommand:
         bad.write_text(json.dumps(doc))
         assert main(["run", str(bad)]) == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error, words",
+        [
+            (SearchBudgetExceeded(7, None), "search budget exceeded (7 nodes)"),
+            (InvariantViolation("ledger overdraft"), "ledger overdraft"),
+        ],
+    )
+    def test_aborted_run_exits_3_with_one_line(self, table1_path, monkeypatch, capsys, error, words):
+        def fail(instance):
+            raise error
+
+        monkeypatch.setattr(mechanisms, "solve_exact", fail)
+        assert main(["run", str(table1_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: run aborted: ")
+        assert words in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestCompareCommand:

@@ -1,0 +1,116 @@
+"""Critical-value payments, checked against a bisection over the own bid.
+
+The reference in this file re-solves the round once per trial bid and
+searches for the smallest own bid in [1, b_i] at which the buyer still
+wins, which is the definition of the critical value.  The production
+code derives the exact solver's payment from two solves instead, and
+keeps a bisection only for the greedy heuristic.
+"""
+
+import random
+
+from mdcauction import (
+    AuctionLedger,
+    Bid,
+    Buyer,
+    MechanismConfig,
+    ResourceVector,
+    Seller,
+    run_srmra,
+)
+from mdcauction.wdp import WdpInstance, solve_exact, solve_greedy
+from wdp_oracle import brute_force_best, random_unit_instance
+
+ROUND = 1
+
+
+def round_inputs(amounts, demands, caps):
+    """Bids and sellers for one round; amounts are taken as milli-units."""
+    bids = [
+        Bid(i, ROUND, amount, ResourceVector(demand))
+        for i, (amount, demand) in enumerate(zip(amounts, demands))
+    ]
+    sellers = tuple(Seller(j, ResourceVector(cap)) for j, cap in enumerate(caps))
+    return bids, sellers
+
+
+def clear(bids, sellers, solver):
+    ledger = AuctionLedger.new([Buyer(b.buyer_id, b.amount) for b in bids], sellers)
+    config = MechanismConfig(pricing="critical_value", solver=solver)
+    return run_srmra(bids, sellers, ledger, config, round_index=ROUND)
+
+
+def wins_at(bids, sellers, buyer_id, amount, solve) -> bool:
+    trial = tuple(
+        Bid(b.buyer_id, b.round, amount, b.demand) if b.buyer_id == buyer_id else b
+        for b in bids
+    )
+    instance = WdpInstance(trial, {s.id: s.round_capacity for s in sellers})
+    return buyer_id in solve(instance).assignment.buyers()
+
+
+def bisect_payment(bids, sellers, buyer_id, solve) -> int:
+    """Smallest own bid in [1, b_i] at which the buyer still wins."""
+    lo = 1
+    hi = next(b.amount for b in bids if b.buyer_id == buyer_id)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if wins_at(bids, sellers, buyer_id, mid, solve):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_exact_payments_equal_the_bisection():
+    at_threshold = above_threshold = 0
+    for seed in range(150):
+        amounts, demands, caps = random_unit_instance(seed)
+        bids, sellers = round_inputs(amounts, demands, caps)
+        outcome = clear(bids, sellers, "exact")
+        optimum = brute_force_best(amounts, demands, caps)
+        assert outcome.utility == optimum
+        for buyer_id, payment in outcome.payments.items():
+            assert payment == bisect_payment(bids, sellers, buyer_id, solve_exact), (seed, buyer_id)
+            others = [j for j in range(len(amounts)) if j != buyer_id]
+            without = brute_force_best(
+                [amounts[j] for j in others], [demands[j] for j in others], caps
+            )
+            threshold = without - (optimum - amounts[buyer_id])
+            if 1 <= threshold < amounts[buyer_id]:
+                at_threshold += payment == threshold
+                above_threshold += payment == threshold + 1
+    # Both sides of the tie at the threshold occur in this instance set.
+    assert at_threshold > 0
+    assert above_threshold > 0
+
+
+def test_contested_tie_goes_to_the_lower_buyer_id():
+    # One slot, equal bids: buyer 0 wins the tie, so its threshold is
+    # buyer 1's bid; buyer 1 would need one milli more to win.
+    sellers = (Seller(0, ResourceVector((1,))),)
+    bids = [Bid(0, ROUND, 7, ResourceVector((1,))), Bid(1, ROUND, 5, ResourceVector((1,)))]
+    assert clear(bids, sellers, "exact").payments == {0: 5}
+    bids = [Bid(0, ROUND, 5, ResourceVector((1,))), Bid(1, ROUND, 7, ResourceVector((1,)))]
+    assert clear(bids, sellers, "exact").payments == {1: 6}
+
+
+def test_greedy_payment_is_its_own_threshold():
+    rng = random.Random(20260)
+    winners = 0
+    for seed in range(80):
+        amounts, demands, caps = random_unit_instance(seed)
+        amounts = [1000 * a + rng.randint(0, 999) for a in amounts]
+        bids, sellers = round_inputs(amounts, demands, caps)
+        outcome = clear(bids, sellers, "greedy")
+        for buyer_id, payment in outcome.payments.items():
+            own = amounts[buyer_id]
+            winners += 1
+            assert 1 <= payment <= own
+            assert wins_at(bids, sellers, buyer_id, payment, solve_greedy)
+            if payment > 1:
+                assert not wins_at(bids, sellers, buyer_id, payment - 1, solve_greedy)
+            # Monotone: a winner keeps winning at any higher own bid.
+            for higher in (own + 1, own + rng.randint(1, 20_000), 10 * own):
+                assert wins_at(bids, sellers, buyer_id, higher, solve_greedy)
+    assert winners > 100

@@ -1,3 +1,7 @@
+import os
+import random
+import subprocess
+import sys
 from decimal import Decimal
 
 import pytest
@@ -45,3 +49,39 @@ def test_ratio_pow_fractional_exponent():
     # 4 * (1/4)^0.5 = 2 exactly
     assert scale_by_ratio_pow(4000, 1000, 4000, 0.5) == 2000
     assert scale_by_ratio_pow(4000, 0, 9000, 0.5) == 0
+
+
+def test_ratio_pow_matches_the_plain_formula_at_small_exponents():
+    rng = random.Random(7)
+    for _ in range(5000):
+        den = rng.randint(1, 300_000)
+        num = rng.randint(0, den)
+        amount = rng.randint(0, 40_000)
+        g = rng.randint(0, 12)
+        assert scale_by_ratio_pow(amount, num, den, float(g)) == amount * num**g // den**g
+
+
+def test_ratio_pow_near_the_floor_to_zero_boundary_is_exact():
+    # amount * (num/den)**g lands just below, at and just above 1
+    for num, den, g in ((2, 3, 40), (999, 1000, 500), (149_999, 150_000, 30_000)):
+        edge = den**g // num**g
+        for amount in (edge - 1, edge, edge + 1):
+            assert scale_by_ratio_pow(amount, num, den, float(g)) == amount * num**g // den**g
+
+
+def test_huge_whole_exponent_returns_promptly():
+    # With a memory cap, so that building num**g would fail instead of
+    # exhausting the machine.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from mdcauction.money import scale_by_ratio_pow as f\n"
+        "print(f(20000, 150000, 200000, 1e9), f(20000, 200000, 200000, 1e9),"
+        " f(20000, 0, 200000, 1e9), f(20000, 199999, 200000, 1e9))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "20000", "0", "0"]
