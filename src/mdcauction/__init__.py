@@ -11,7 +11,6 @@ simulation lab.
 
 from .errors import InvariantViolation, ValidationError
 from .mechanisms import (
-    AdjustmentPolicy,
     AuctionResult,
     adjust_bid,
     replay,
@@ -46,7 +45,6 @@ from .wdp import (
     SearchBudgetExceeded,
     WdpInstance,
     WdpSolution,
-    check_feasible,
     solve_exact,
     solve_greedy,
 )
@@ -54,7 +52,6 @@ from .wdp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustmentPolicy",
     "Assignment",
     "AuctionLedger",
     "AuctionResult",
@@ -77,7 +74,6 @@ __all__ = [
     "WdpInstance",
     "WdpSolution",
     "adjust_bid",
-    "check_feasible",
     "compare",
     "compute_metrics",
     "evaluate",

@@ -23,7 +23,7 @@ from .errors import InvariantViolation, ValidationError
 from .mechanisms import replay
 from .money import format_milli, to_milli
 from .rng import GENERATOR_NAME
-from .scenario import MechanismConfig, Scenario
+from .scenario import SOLVERS, MechanismConfig, Scenario
 from .simlab import MECHANISMS, MechanismSpec, compare, evaluate, materialize
 from .wdp import SearchBudgetExceeded
 
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanism", default="mafl", choices=sorted(MECHANISMS), help="mechanism to run"
     )
     p_run.add_argument("--gamma", type=float, help="override the adjustment exponent")
-    p_run.add_argument("--solver", choices=("exact", "greedy"), help="override the solver")
+    p_run.add_argument("--solver", choices=SOLVERS, help="override the solver")
     p_run.add_argument("--seed", type=int, help="override the generator seed")
     p_run.add_argument("--out", help="write per-round CSV here")
     p_run.add_argument("--no-header", action="store_true", help="omit the timestamp header")
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated mechanism names",
     )
     p_cmp.add_argument("--gamma", type=float, help="override the adjustment exponent")
-    p_cmp.add_argument("--solver", choices=("exact", "greedy"), help="override the solver")
+    p_cmp.add_argument("--solver", choices=SOLVERS, help="override the solver")
     p_cmp.add_argument("--seed", type=int, help="override the base seed")
     p_cmp.add_argument("--out", help="write the per-seed CSV here")
     p_cmp.add_argument("--no-header", action="store_true", help="omit the timestamp header")

@@ -10,7 +10,7 @@ files are bit-identical across platforms.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -92,7 +92,7 @@ def _int_range(value, field: str) -> tuple[int, int]:
     return (_int_value(value[0], f"{field}[0]"), _int_value(value[1], f"{field}[1]"))
 
 
-_MECHANISM_KEYS = {"gamma", "scope", "tie_rule", "pricing", "solver"}
+_MECHANISM_KEYS = {f.name for f in fields(MechanismConfig)}
 
 
 def parse_mechanism(doc: dict, prefix: str = "mechanism.") -> MechanismConfig:
@@ -111,19 +111,7 @@ def parse_mechanism(doc: dict, prefix: str = "mechanism.") -> MechanismConfig:
     return MechanismConfig(**kwargs)
 
 
-_GENERATOR_KEYS = {
-    "n_buyers",
-    "m_sellers",
-    "horizon",
-    "seed",
-    "dimensions",
-    "demand_range",
-    "bid_range",
-    "budget_range",
-    "capacity_range",
-    "period_capacity_range",
-    "ask_range",
-}
+_GENERATOR_KEYS = {f.name for f in fields(GeneratorParams)}
 
 
 def parse_generator(doc: dict, prefix: str = "generator.") -> GeneratorParams:
@@ -294,14 +282,11 @@ def scenario_to_doc(scenario: Scenario, materialize: bool = False) -> dict:
     """
     mechanism = asdict(scenario.mechanism)
     if scenario.generator is not None and not materialize:
-        generator = {k: v for k, v in asdict(scenario.generator).items() if v is not None}
-        generator["demand_range"] = list(generator["demand_range"])
-        generator["bid_range"] = list(generator["bid_range"])
-        generator["budget_range"] = list(generator["budget_range"])
-        generator["capacity_range"] = list(generator["capacity_range"])
-        generator["ask_range"] = list(generator["ask_range"])
-        if "period_capacity_range" in generator:
-            generator["period_capacity_range"] = list(generator["period_capacity_range"])
+        generator = {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(scenario.generator).items()
+            if v is not None
+        }
         return {"generator": generator, "mechanism": mechanism}
     if not scenario.materialized:
         raise ValidationError("scenario", "cannot materialize without running the generator")

@@ -1,14 +1,15 @@
 """Auction mechanisms.
 
-``run_srmra`` clears one round: winner determination over the effective
-bids, first-price or critical-value payments, ledger charge.
-``run_repeated_srmra`` cycles it over the horizon with budget clamping
-only, which is the baseline whose budgets burn out early.  ``run_mafl``
-is the budget-aware framework: before each round it shrinks the previous
+Every mechanism runs one round loop, ``_run``: clamp each bid to the
+remaining budget, optionally adjust it, clear the round, charge the
+ledger.  ``run_srmra`` clears one round: winner determination over the
+effective bids, first-price or critical-value payments, ledger charge.
+``run_repeated_srmra`` cycles it without adjustment, the baseline whose
+budgets burn out early.  ``run_mafl`` first shrinks the previous
 winners' bids in proportion to their remaining budget, which stretches
-budgets across the horizon.  ``replay`` is the deterministic desk
-engine for unit-demand, single-pool examples, and
-``run_double_auction`` is a simplified bid/ask matching baseline.
+budgets across the horizon.  ``run_double_auction`` clears by a
+simplified bid/ask matching instead.  ``replay`` adapts a unit-demand,
+single-pool desk fixture into a scenario for repeated SRMRA.
 """
 
 from __future__ import annotations
@@ -22,25 +23,6 @@ from .model import Assignment, AuctionLedger, Bid, Buyer, ResourceVector, RoundO
 from .money import SCALE, scale_by_ratio_pow, to_milli
 from .scenario import MechanismConfig, Scenario, new_ledger
 from .wdp import WdpInstance, solve_exact, solve_greedy
-
-
-@dataclass(frozen=True)
-class AdjustmentPolicy:
-    """How previous winners' bids shrink with their remaining budget.
-
-    With ``winners_only`` scope, only buyers who won the previous round
-    are adjusted; everyone else just gets the budget clamp.  With
-    ``all_buyers`` every bid is scaled by (remaining/initial)**gamma.
-    """
-
-    gamma: float = 1.0
-    scope: str = "winners_only"
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma) or self.gamma < 0:
-            raise ValidationError("policy.gamma", "must be finite and >= 0")
-        if self.scope not in ("winners_only", "all_buyers"):
-            raise ValidationError("policy.scope", "must be winners_only or all_buyers")
 
 
 @dataclass(frozen=True)
@@ -73,7 +55,7 @@ def adjust_bid(
     true_amount: int,
     remaining: int,
     initial: int,
-    policy: AdjustmentPolicy,
+    config: MechanismConfig,
     won_previous: bool,
 ) -> int:
     """Effective bid for one buyer in one round.
@@ -81,7 +63,9 @@ def adjust_bid(
     Non-punished buyers are only clamped to their remaining budget.
     Punished buyers bid floor(true * (remaining/initial)**gamma),
     clamped to the remaining budget; a buyer with no initial budget
-    always bids 0.
+    always bids 0.  ``config.scope`` says who is punished: with
+    ``winners_only`` only the previous round's winners, with
+    ``all_buyers`` everyone.
     """
     if true_amount < 0:
         raise ValidationError("true_amount", "must be >= 0")
@@ -89,9 +73,9 @@ def adjust_bid(
         raise ValidationError("remaining", "must satisfy 0 <= remaining <= initial")
     if initial == 0:
         return 0
-    if policy.scope == "winners_only" and not won_previous:
+    if config.scope == "winners_only" and not won_previous:
         return min(true_amount, remaining)
-    adjusted = scale_by_ratio_pow(true_amount, remaining, initial, policy.gamma)
+    adjusted = scale_by_ratio_pow(true_amount, remaining, initial, config.gamma)
     return min(adjusted, remaining)
 
 
@@ -200,15 +184,32 @@ def run_srmra(
     return outcome
 
 
-def _clamped_bid(scenario: Scenario, ledger: AuctionLedger, buyer_id: int, round_index: int) -> Bid:
-    raw = scenario.bid_matrix[buyer_id][round_index - 1]
-    amount = min(raw.amount, ledger.remaining_budget[buyer_id])
-    return Bid(buyer_id, round_index, amount, raw.demand)
+def _run(scenario: Scenario, clear, adjust: bool = False) -> AuctionResult:
+    """The round loop every mechanism shares.
 
-
-def _require_materialized(scenario: Scenario) -> None:
+    Each round, every buyer's bid from the matrix is clamped to its
+    remaining budget and, with ``adjust``, passed through ``adjust_bid``
+    with the previous round's winners; then ``clear``, called like
+    ``run_srmra``, clears the round, charges the ledger and returns the
+    outcome.
+    """
     if not scenario.materialized:
         raise ValidationError("scenario", "generator scenarios must be materialized before running")
+    ledger = new_ledger(scenario)
+    previous_winners: set[int] = set()
+    for l in range(1, scenario.horizon + 1):
+        round_bids = []
+        for buyer in scenario.buyers:
+            raw = scenario.bid_matrix[buyer.id][l - 1]
+            remaining = ledger.remaining_budget[buyer.id]
+            amount = min(raw.amount, remaining)
+            if adjust:
+                won = buyer.id in previous_winners
+                amount = adjust_bid(amount, remaining, buyer.budget, scenario.mechanism, won)
+            round_bids.append(Bid(buyer.id, l, amount, raw.demand))
+        outcome = clear(round_bids, scenario.sellers, ledger, scenario.mechanism, l)
+        previous_winners = outcome.winners.buyers()
+    return _result(ledger)
 
 
 def run_repeated_srmra(scenario: Scenario) -> AuctionResult:
@@ -217,12 +218,7 @@ def run_repeated_srmra(scenario: Scenario) -> AuctionResult:
     Bids are taken from the matrix verbatim, clamped to remaining
     budgets; the ledger carries across rounds.
     """
-    _require_materialized(scenario)
-    ledger = new_ledger(scenario)
-    for l in range(1, scenario.horizon + 1):
-        round_bids = [_clamped_bid(scenario, ledger, b.id, l) for b in scenario.buyers]
-        run_srmra(round_bids, scenario.sellers, ledger, scenario.mechanism, round_index=l)
-    return _result(ledger)
+    return _run(scenario, run_srmra)
 
 
 def run_mafl(scenario: Scenario) -> AuctionResult:
@@ -237,28 +233,7 @@ def run_mafl(scenario: Scenario) -> AuctionResult:
     adjusted.  With gamma = 0 the adjustment is the identity and the
     run matches run_repeated_srmra round for round.
     """
-    _require_materialized(scenario)
-    policy = AdjustmentPolicy(scenario.mechanism.gamma, scenario.mechanism.scope)
-    ledger = new_ledger(scenario)
-    previous_winners: set[int] = set()
-    for l in range(1, scenario.horizon + 1):
-        round_bids = []
-        for buyer in scenario.buyers:
-            clamped = _clamped_bid(scenario, ledger, buyer.id, l)
-            if scenario.bids_are_valuations:
-                amount = adjust_bid(
-                    clamped.amount,
-                    ledger.remaining_budget[buyer.id],
-                    buyer.budget,
-                    policy,
-                    buyer.id in previous_winners,
-                )
-            else:
-                amount = clamped.amount
-            round_bids.append(Bid(buyer.id, l, amount, clamped.demand))
-        outcome = run_srmra(round_bids, scenario.sellers, ledger, scenario.mechanism, round_index=l)
-        previous_winners = outcome.winners.buyers()
-    return _result(ledger)
+    return _run(scenario, run_srmra, adjust=scenario.bids_are_valuations)
 
 
 def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
@@ -268,6 +243,12 @@ def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
     currency units (0.001 resolution).  Each round, bids are clamped to
     remaining budgets and the ``items_per_round`` highest positive bids
     win, ties going to the lowest buyer index; winners pay their bids.
+
+    The fixture becomes a one-seller scenario with ``items_per_round``
+    units and unit demands, run by ``run_repeated_srmra`` with the greedy
+    solver: on equal demands its density order is the bid order, ties to
+    the lowest id.  The exact solver picks the same winners but cannot
+    prune equal bids; 30 of them for 15 items exhaust its node budget.
     """
     if not isinstance(items_per_round, int) or isinstance(items_per_round, bool):
         raise ValidationError("items_per_round", "must be an integer")
@@ -281,39 +262,74 @@ def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
         raise ValidationError(
             "bids", f"expected {len(budget_milli)} rows, got {len(bid_matrix)}"
         )
-    rows = []
-    horizon = None
+    unit = ResourceVector((SCALE,))
+    matrix = []
     for i, row in enumerate(bid_matrix):
         amounts = [to_milli(a, f"bids[{i}][{l}]") for l, a in enumerate(row)]
         if any(a < 0 for a in amounts):
             raise ValidationError(f"bids[{i}]", "amounts must be >= 0")
-        if horizon is None:
-            horizon = len(amounts)
-        elif len(amounts) != horizon:
+        if matrix and len(amounts) != len(matrix[0]):
+            horizon = len(matrix[0])
             raise ValidationError(f"bids[{i}]", f"expected {horizon} rounds, got {len(amounts)}")
-        rows.append(amounts)
+        matrix.append(tuple(Bid(i, l, a, unit) for l, a in enumerate(amounts, start=1)))
 
-    unit = ResourceVector((SCALE,))
-    buyers = [Buyer(i, b) for i, b in enumerate(budget_milli)]
+    buyers = tuple(Buyer(i, b) for i, b in enumerate(budget_milli))
     seller = Seller(0, ResourceVector((items_per_round * SCALE,)))
-    ledger = AuctionLedger.new(buyers, [seller])
-    for l in range(1, (horizon or 0) + 1):
-        effective = [min(rows[i][l - 1], ledger.remaining_budget[i]) for i in range(len(rows))]
-        contenders = sorted(
-            (i for i in range(len(rows)) if effective[i] > 0),
-            key=lambda i: (-effective[i], i),
-        )
-        winners = sorted(contenders[:items_per_round])
-        outcome = RoundOutcome(
-            round=l,
-            winners=Assignment(tuple((i, 0) for i in winners)),
-            bids={i: effective[i] for i in winners},
-            payments={i: effective[i] for i in winners},
-            demands={i: unit for i in winners},
-            utility=sum(effective[i] for i in winners),
-        )
-        ledger.charge(outcome)
-    return _result(ledger)
+    if not matrix or not matrix[0]:
+        return _result(AuctionLedger.new(buyers, [seller]))
+    greedy = MechanismConfig(solver="greedy")
+    return run_repeated_srmra(
+        Scenario(buyers, (seller,), len(matrix[0]), 1, tuple(matrix), mechanism=greedy)
+    )
+
+
+def _match_bids_and_asks(
+    bids: list[Bid],
+    sellers: tuple[Seller, ...],
+    ledger: AuctionLedger,
+    config: MechanismConfig,
+    round_index: int,
+) -> RoundOutcome:
+    """Clear one double-auction round; ``config`` is unused."""
+    residual = {s.id: list(ledger.effective_capacity(s)) for s in sellers}
+    sellers_by_ask = sorted(sellers, key=lambda s: (s.ask, s.id))
+    order = sorted((b for b in bids if b.amount > 0), key=lambda b: (-b.amount, b.buyer_id))
+    pairs: list[tuple[int, int]] = []
+    bids_map: dict[int, int] = {}
+    payments: dict[int, int] = {}
+    demands: dict[int, ResourceVector] = {}
+    for bid in order:
+        demand = tuple(bid.demand)
+        dim = len(demand)
+        for seller in sellers_by_ask:
+            room = residual[seller.id]
+            if not all(demand[k] <= room[k] for k in range(dim)):
+                continue
+            load = Fraction(0)
+            for k in range(dim):
+                if demand[k]:
+                    load += Fraction(demand[k], seller.round_capacity.units[k])
+            ask = math.floor(seller.ask * load / dim) if dim else 0
+            if bid.amount < ask:
+                continue
+            price = (bid.amount + ask) // 2
+            for k in range(dim):
+                room[k] -= demand[k]
+            pairs.append((bid.buyer_id, seller.id))
+            bids_map[bid.buyer_id] = bid.amount
+            payments[bid.buyer_id] = price
+            demands[bid.buyer_id] = bid.demand
+            break
+    outcome = RoundOutcome(
+        round=round_index,
+        winners=Assignment(tuple(pairs)),
+        bids=bids_map,
+        payments=payments,
+        demands=demands,
+        utility=sum(bids_map.values()),
+    )
+    ledger.charge(outcome)
+    return outcome
 
 
 def run_double_auction(scenario: Scenario) -> AuctionResult:
@@ -328,55 +344,9 @@ def run_double_auction(scenario: Scenario) -> AuctionResult:
     deliberately simple stand-in baseline, not a faithful port of any
     published double auction.
     """
-    _require_materialized(scenario)
     for position, seller in enumerate(scenario.sellers):
         if seller.ask is None:
             raise ValidationError(
                 f"sellers[{position}].ask", "required by the double_auction mechanism"
             )
-    ledger = new_ledger(scenario)
-    dim = scenario.dimensions
-    for l in range(1, scenario.horizon + 1):
-        residual = {
-            s.id: list(ledger.effective_capacity(s)) for s in scenario.sellers
-        }
-        sellers_by_ask = sorted(scenario.sellers, key=lambda s: (s.ask, s.id))
-        round_bids = [_clamped_bid(scenario, ledger, b.id, l) for b in scenario.buyers]
-        order = sorted(
-            (b for b in round_bids if b.amount > 0), key=lambda b: (-b.amount, b.buyer_id)
-        )
-        pairs: list[tuple[int, int]] = []
-        bids_map: dict[int, int] = {}
-        payments: dict[int, int] = {}
-        demands: dict[int, ResourceVector] = {}
-        for bid in order:
-            demand = tuple(bid.demand)
-            for seller in sellers_by_ask:
-                room = residual[seller.id]
-                if not all(demand[k] <= room[k] for k in range(dim)):
-                    continue
-                load = Fraction(0)
-                for k in range(dim):
-                    if demand[k]:
-                        load += Fraction(demand[k], seller.round_capacity.units[k])
-                ask = math.floor(seller.ask * load / dim) if dim else 0
-                if bid.amount < ask:
-                    continue
-                price = (bid.amount + ask) // 2
-                for k in range(dim):
-                    room[k] -= demand[k]
-                pairs.append((bid.buyer_id, seller.id))
-                bids_map[bid.buyer_id] = bid.amount
-                payments[bid.buyer_id] = price
-                demands[bid.buyer_id] = bid.demand
-                break
-        outcome = RoundOutcome(
-            round=l,
-            winners=Assignment(tuple(pairs)),
-            bids=bids_map,
-            payments=payments,
-            demands=demands,
-            utility=sum(bids_map.values()),
-        )
-        ledger.charge(outcome)
-    return _result(ledger)
+    return _run(scenario, _match_bids_and_asks)

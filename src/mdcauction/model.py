@@ -29,10 +29,6 @@ class ResourceVector:
             if u < 0:
                 raise ValidationError(f"quantity[{k}]", "must be >= 0")
 
-    @classmethod
-    def zero(cls, dimensions: int) -> "ResourceVector":
-        return cls((0,) * dimensions)
-
     def __len__(self) -> int:
         return len(self.units)
 
@@ -141,10 +137,6 @@ class Assignment:
                 raise ValidationError("assignment", f"buyer {buyer_id} assigned twice")
             seen.add(buyer_id)
         object.__setattr__(self, "pairs", ordered)
-
-    @classmethod
-    def from_dict(cls, mapping: dict[int, int]) -> "Assignment":
-        return cls(tuple(mapping.items()))
 
     def to_dict(self) -> dict[int, int]:
         return dict(self.pairs)

@@ -9,7 +9,6 @@ mechanisms may adjust (``bids_are_valuations``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
@@ -19,6 +18,11 @@ SOLVERS = ("exact", "greedy")
 PRICING_MODES = ("first_price", "critical_value")
 TIE_RULES = ("lowest_index",)
 ADJUSTMENT_SCOPES = ("winners_only", "all_buyers")
+# A buyer 1% down on its budget keeps 0.99**1000 < 5e-5 of its bid at
+# gamma = 1000, so larger exponents only zero bids out, while the exact
+# integer power (remaining/initial)**gamma costs time and memory that grow
+# with gamma.  The bound keeps every adjustment cheap.
+MAX_GAMMA = 1000
 
 
 @dataclass(frozen=True)
@@ -27,7 +31,7 @@ class MechanismConfig:
 
     ``gamma`` is the punishment exponent: a previous winner's effective
     bid is its clamped true bid times (remaining/initial)**gamma.
-    gamma = 0 disables adjustment entirely.
+    gamma = 0 disables adjustment entirely; gamma is at most ``MAX_GAMMA``.
     """
 
     gamma: float = 1.0
@@ -37,8 +41,8 @@ class MechanismConfig:
     solver: str = "exact"
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma) or self.gamma < 0:
-            raise ValidationError("mechanism.gamma", "must be finite and >= 0")
+        if not 0 <= self.gamma <= MAX_GAMMA:  # also rejects NaN
+            raise ValidationError("mechanism.gamma", f"must be in [0, {MAX_GAMMA}]")
         if self.scope not in ADJUSTMENT_SCOPES:
             raise ValidationError("mechanism.scope", f"must be one of {ADJUSTMENT_SCOPES}")
         if self.tie_rule not in TIE_RULES:

@@ -83,20 +83,6 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"search budget exceeded ({node_budget} nodes)")
 
 
-def check_feasible(assignment: Assignment, instance: WdpInstance) -> bool:
-    """True iff every pair respects one-seller-per-buyer and all capacities."""
-    demand_of = {bid.buyer_id: bid.demand for bid in instance.bids}
-    load: dict[int, ResourceVector] = {}
-    for buyer_id, seller_id in assignment:
-        if buyer_id not in demand_of:
-            raise ValidationError("assignment", f"unknown buyer {buyer_id}")
-        if seller_id not in instance.seller_caps:
-            raise ValidationError("assignment", f"unknown seller {seller_id}")
-        demand = demand_of[buyer_id]
-        load[seller_id] = load[seller_id] + demand if seller_id in load else demand
-    return all(total.fits_within(instance.seller_caps[s]) for s, total in load.items())
-
-
 def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> WdpSolution:
     """Maximum-objective feasible assignment by depth-first branch and bound.
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -174,6 +177,29 @@ class TestRunCommand:
         bad.write_text(json.dumps(doc))
         assert main(["run", str(bad)]) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_huge_gamma_exits_2_promptly(self, tmp_path):
+        # A budget one unit down at gamma 6.9e8 once built the exact
+        # integer power; the memory cap makes that fail instead of
+        # exhausting the machine.
+        scenario = tmp_path / "huge_gamma.json"
+        scenario.write_text(json.dumps({"generator": {
+            "n_buyers": 1, "m_sellers": 1, "horizon": 2, "dimensions": 1,
+            "budget_range": [100000000, 100000000], "bid_range": [1, 1],
+        }}))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from mdcauction.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", code, "run", str(scenario), "--gamma", "690000000"],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "mechanism.gamma" in done.stderr
 
     @pytest.mark.parametrize(
         "error, words",

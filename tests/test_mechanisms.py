@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdcauction import (
-    AdjustmentPolicy,
     AuctionLedger,
     Bid,
     Buyer,
@@ -29,6 +28,7 @@ from helpers import (
     recheck_run_invariants,
     table_scenario,
 )
+from replay_oracle import top_k_replay
 
 
 def unit_bid(buyer_id, round_index, amount_units):
@@ -36,35 +36,35 @@ def unit_bid(buyer_id, round_index, amount_units):
 
 
 class TestAdjustBid:
-    policy = AdjustmentPolicy(gamma=1.0)
+    config = MechanismConfig(gamma=1.0)
 
     def test_full_budget_is_untouched(self):
         for gamma in (0.0, 0.5, 1.0, 3.0):
-            policy = AdjustmentPolicy(gamma=gamma)
-            assert adjust_bid(4000, 9000, 9000, policy, won_previous=True) == 4000
+            config = MechanismConfig(gamma=gamma)
+            assert adjust_bid(4000, 9000, 9000, config, won_previous=True) == 4000
 
     def test_zero_remaining_forces_zero(self):
-        assert adjust_bid(4000, 0, 9000, self.policy, won_previous=True) == 0
-        assert adjust_bid(4000, 0, 9000, self.policy, won_previous=False) == 0
+        assert adjust_bid(4000, 0, 9000, self.config, won_previous=True) == 0
+        assert adjust_bid(4000, 0, 9000, self.config, won_previous=False) == 0
 
     def test_punishment_floors_to_milli(self):
         # 4 * 5/9 = 2.222... -> 2222 milli
-        assert adjust_bid(4000, 5000, 9000, self.policy, won_previous=True) == 2222
+        assert adjust_bid(4000, 5000, 9000, self.config, won_previous=True) == 2222
 
     def test_non_winner_is_only_clamped(self):
-        assert adjust_bid(4000, 3000, 9000, self.policy, won_previous=False) == 3000
-        assert adjust_bid(2000, 3000, 9000, self.policy, won_previous=False) == 2000
+        assert adjust_bid(4000, 3000, 9000, self.config, won_previous=False) == 3000
+        assert adjust_bid(2000, 3000, 9000, self.config, won_previous=False) == 2000
 
     def test_all_buyers_scope_punishes_everyone(self):
-        policy = AdjustmentPolicy(gamma=1.0, scope="all_buyers")
-        assert adjust_bid(4000, 5000, 9000, policy, won_previous=False) == 2222
+        config = MechanismConfig(gamma=1.0, scope="all_buyers")
+        assert adjust_bid(4000, 5000, 9000, config, won_previous=False) == 2222
 
     def test_zero_initial_budget_bids_zero(self):
-        assert adjust_bid(4000, 0, 0, self.policy, won_previous=True) == 0
+        assert adjust_bid(4000, 0, 0, self.config, won_previous=True) == 0
 
     def test_result_never_exceeds_remaining(self):
-        policy = AdjustmentPolicy(gamma=0.0)
-        assert adjust_bid(9000, 2000, 9000, policy, won_previous=True) == 2000
+        config = MechanismConfig(gamma=0.0)
+        assert adjust_bid(9000, 2000, 9000, config, won_previous=True) == 2000
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -76,7 +76,7 @@ class TestAdjustBid:
     )
     def test_effective_bid_always_within_budget(self, true, rem, extra, gamma, won):
         initial = rem + extra
-        effective = adjust_bid(true, rem, initial, AdjustmentPolicy(gamma=gamma), won)
+        effective = adjust_bid(true, rem, initial, MechanismConfig(gamma=gamma), won)
         assert 0 <= effective <= rem
 
 
@@ -169,6 +169,36 @@ class TestReplay:
     def test_items_per_round_must_be_an_integer(self):
         with pytest.raises(ValidationError, match="items_per_round"):
             replay([[1]], [5], 1.5)
+
+    @pytest.mark.parametrize("bids, budgets", [([], []), ([[]], [5])])
+    def test_empty_fixture_has_zero_rounds(self, bids, budgets):
+        result = replay(bids, budgets, 2)
+        assert result.rounds == ()
+        assert result.total_utility == 0
+        assert result.ledger.remaining_budget == {i: b * 1000 for i, b in enumerate(budgets)}
+
+    def test_many_equal_bids_finish(self):
+        # equal bids leave an exact branch and bound nothing to prune
+        result = replay([[1, 1, 1]] * 30, [3] * 30, 15)
+        assert result.total_utility == 45000
+        assert [len(o.winners) for o in result.rounds] == [15, 15, 15]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_top_k_oracle(self, data):
+        # small amounts force ties, zero bids and budget clamps
+        n = data.draw(st.integers(0, 8), label="buyers")
+        t = data.draw(st.integers(0, 8), label="rounds")
+        amount = st.sampled_from([0, 0.5, 1, 1, 2, 2, 3, 5])
+        row = st.lists(amount, min_size=t, max_size=t)
+        bids = data.draw(st.lists(row, min_size=n, max_size=n), label="bids")
+        budget = st.sampled_from([0, 1, 2.5, 4, 8, 40])
+        budgets = data.draw(st.lists(budget, min_size=n, max_size=n), label="budgets")
+        items = data.draw(st.integers(0, 4), label="items_per_round")
+        rounds, ledger = top_k_replay(bids, budgets, items)
+        result = replay(bids, budgets, items)
+        assert result.rounds == rounds
+        assert result.ledger == ledger
 
 
 class TestRepeatedSrmra:

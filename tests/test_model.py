@@ -175,3 +175,16 @@ class TestScenarioValidation:
                 dimensions=1,
                 bid_matrix=(),
             )
+
+    @pytest.mark.parametrize("gamma", [-0.5, float("inf"), float("nan"), 1000.5, 6.9e8])
+    def test_gamma_outside_the_bound_is_rejected(self, gamma):
+        from mdcauction import MechanismConfig
+
+        with pytest.raises(ValidationError, match="mechanism.gamma"):
+            MechanismConfig(gamma=gamma)
+
+    def test_gamma_bound_is_inclusive(self):
+        from mdcauction import MechanismConfig
+        from mdcauction.scenario import MAX_GAMMA
+
+        assert MechanismConfig(gamma=MAX_GAMMA).gamma == MAX_GAMMA

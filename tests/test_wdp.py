@@ -9,12 +9,11 @@ from mdcauction import (
     SearchBudgetExceeded,
     ValidationError,
     WdpInstance,
-    check_feasible,
     solve_exact,
     solve_greedy,
 )
 from mdcauction.model import Assignment
-from wdp_oracle import brute_force_best, random_unit_instance
+from wdp_oracle import brute_force_best, check_feasible, random_unit_instance
 
 
 def make_instance(amounts, demands, caps):

@@ -3,10 +3,27 @@
 Enumerates every buyer-to-(seller or unassigned) mapping, cutting only
 infeasible prefixes (all of whose extensions are infeasible too).  No
 objective-based pruning, no shared code with the production solver.
-Works in whole units for speed.
+Works in whole units for speed.  ``check_feasible`` is the matching
+feasibility oracle for solver outputs.
 """
 
 import random
+
+from mdcauction import ValidationError
+
+
+def check_feasible(assignment, instance) -> bool:
+    """True iff every pair respects one-seller-per-buyer and all capacities."""
+    demand_of = {bid.buyer_id: bid.demand for bid in instance.bids}
+    load = {}
+    for buyer_id, seller_id in assignment:
+        if buyer_id not in demand_of:
+            raise ValidationError("assignment", f"unknown buyer {buyer_id}")
+        if seller_id not in instance.seller_caps:
+            raise ValidationError("assignment", f"unknown seller {seller_id}")
+        demand = demand_of[buyer_id]
+        load[seller_id] = load[seller_id] + demand if seller_id in load else demand
+    return all(total.fits_within(instance.seller_caps[s]) for s, total in load.items())
 
 
 def brute_force_best(amounts, demands, caps) -> int:
