@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolation, ValidationError
 from .model import Assignment, AuctionLedger, Bid, Buyer, ResourceVector, RoundOutcome, Seller
 from .money import SCALE, scale_by_ratio_pow, to_milli
 from .scenario import MechanismConfig, Scenario, new_ledger
-from .wdp import WdpInstance, solve_exact, solve_greedy
+from .wdp import WdpInstance, greedy_threshold, solve_exact, solve_greedy
 
 
 @dataclass(frozen=True)
@@ -104,28 +103,20 @@ def _critical_payment(instance: WdpInstance, winner_id: int, solve, optimum: int
     solver's search-order tie-break decides, so one confirming solve at
     t tells t from t + 1.  That is at most two solves per winner.
 
-    A heuristic solver's objective is not OPT, so for it the payment is
-    found by bisection over the own bid, which assumes winning is
-    monotone in the own bid.
+    A heuristic solver's objective is not OPT; greedy's threshold comes
+    from one greedy pass without i instead (see ``greedy_threshold``).
     """
-    own = next(b.amount for b in instance.bids if b.buyer_id == winner_id)
-    if optimum is None:
-        lo, hi = 1, own
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _wins_at(instance, winner_id, mid, solve):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
     others = WdpInstance(
         tuple(b for b in instance.bids if b.buyer_id != winner_id), instance.seller_caps
     )
-    threshold = solve(others).objective - (optimum - own)
+    own = next(b for b in instance.bids if b.buyer_id == winner_id)
+    if optimum is None:
+        return greedy_threshold(others, own)
+    threshold = solve(others).objective - (optimum - own.amount)
     if threshold < 1:
         return 1
-    if threshold >= own:
-        return own
+    if threshold >= own.amount:
+        return own.amount
     return threshold if _wins_at(instance, winner_id, threshold, solve) else threshold + 1
 
 
@@ -283,6 +274,21 @@ def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
     )
 
 
+def _scaled_ask(seller: Seller, demand: tuple[int, ...]) -> int:
+    """floor(ask * mean over k of d_k / c_k), as one integer floor division.
+
+    ``d_k * (L // c_k)`` is ``L * d_k / c_k`` with L the lcm of the round
+    capacities.  A zero capacity counts as 1: the fit check has already
+    rejected a positive demand on it.
+    """
+    if not demand:
+        return 0
+    norms = [c or 1 for c in seller.round_capacity.units]
+    lcm = math.lcm(*norms)
+    load = sum(d * (lcm // c) for d, c in zip(demand, norms))
+    return seller.ask * load // (lcm * len(demand))
+
+
 def _match_bids_and_asks(
     bids: list[Bid],
     sellers: tuple[Seller, ...],
@@ -305,11 +311,7 @@ def _match_bids_and_asks(
             room = residual[seller.id]
             if not all(demand[k] <= room[k] for k in range(dim)):
                 continue
-            load = Fraction(0)
-            for k in range(dim):
-                if demand[k]:
-                    load += Fraction(demand[k], seller.round_capacity.units[k])
-            ask = math.floor(seller.ask * load / dim) if dim else 0
+            ask = _scaled_ask(seller, demand)
             if bid.amount < ask:
                 continue
             price = (bid.amount + ask) // 2

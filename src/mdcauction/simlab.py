@@ -292,6 +292,10 @@ def compare(
         [rng.randint(0, n_seeds - 1) for _ in range(n_seeds)]
         for _ in range(bootstrap_resamples)
     ]
+    resample_means = {
+        label: [sum(revenue[i] for i in idx) / n_seeds for idx in resample_indices]
+        for label, revenue in revenue_units.items()
+    }
     pairwise = []
     for label_a in labels:
         for label_b in labels:
@@ -300,10 +304,7 @@ def compare(
             a, b = revenue_units[label_a], revenue_units[label_b]
             point = _improvement_pct(sum(a) / n_seeds, sum(b) / n_seeds)
             resampled = sorted(
-                _improvement_pct(
-                    sum(a[i] for i in idx) / n_seeds, sum(b[i] for i in idx) / n_seeds
-                )
-                for idx in resample_indices
+                map(_improvement_pct, resample_means[label_a], resample_means[label_b])
             )
             wins = sum(1 for x, y in zip(a, b) if x > y)
             ties = sum(1 for x, y in zip(a, b) if x == y)

@@ -10,8 +10,10 @@ anything larger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
+from operator import mul, sub
 
 from .errors import InvariantViolation, ValidationError
 from .model import Assignment, Bid, ResourceVector
@@ -151,6 +153,51 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     return WdpSolution(Assignment(best_pairs), best_value, True)
 
 
+def _scale(instance: WdpInstance) -> tuple[int, list[int]]:
+    """``(L, units)``: L is the lcm of the capacity totals T_k (a zero total
+    counts as 1) and ``units[k] = L // T_k``, so ``d_k * units[k] = L * d_k / T_k``."""
+    caps = instance.seller_caps.values()
+    norms = [sum(cap.units[k] for cap in caps) or 1 for k in range(instance.dimension)]
+    lcm = math.lcm(*norms)
+    return lcm, [lcm // t for t in norms]
+
+
+def _rank(x, y) -> int:
+    """Negative when ``x = (amount, weight, buyer_id, ...)`` ranks ahead of ``y``."""
+    return (y[0] * x[1] - x[0] * y[1]) or (x[2] - y[2])
+
+
+def _greedy_placements(instance: WdpInstance, lcm: int, units: list[int]):
+    """Yield ``(bid, weight, seller_id, room)`` for each bid greedy places, in rank order.
+
+    This is ``solve_greedy``'s rule with every quantity multiplied by L:
+    ``weight = L + sum_k d_k * units[k]``, and ``room`` is the seller's
+    residual after the placement, scaled by ``units``.  A seller fits
+    when its least slack ``(room_k - d_k) * units[k]`` is >= 0.
+    """
+    ranked = []
+    for bid in instance.bids:
+        if bid.amount > 0:
+            need = list(map(mul, bid.demand.units, units))
+            ranked.append((bid.amount, lcm + sum(need), bid.buyer_id, bid, need))
+    ranked.sort(key=cmp_to_key(_rank))
+    rooms = [
+        (s, list(map(mul, instance.seller_caps[s].units, units)))
+        for s in sorted(instance.seller_caps)
+    ]
+    for _amount, weight, _buyer_id, bid, need in ranked:
+        best = best_room = None
+        best_slack = -1
+        for s, room in rooms:
+            slack = min(map(sub, room, need), default=0)
+            if slack > best_slack:
+                best, best_room, best_slack = s, room, slack
+        if best is None:
+            continue
+        best_room[:] = map(sub, best_room, need)
+        yield bid, weight, best, best_room
+
+
 def solve_greedy(instance: WdpInstance) -> WdpSolution:
     """Density-ordered heuristic; feasible but not necessarily optimal.
 
@@ -159,46 +206,42 @@ def solve_greedy(instance: WdpInstance) -> WdpSolution:
     the standard density rule for multidimensional knapsacks.  Each bid
     is placed with the feasible seller keeping the most normalized
     slack (max of the minimum normalized residual).  Ties fall to the
-    lower buyer id, then the lower seller id.  Exact fractions avoid
-    float ties.
+    lower buyer id, then the lower seller id.  Scaling every normalized
+    quantity by the lcm of the capacity totals makes it an integer, and
+    densities are compared by cross-multiplication, so every comparison
+    is exact (see ``_greedy_placements``).
     """
-    dim = instance.dimension
-    seller_ids = sorted(instance.seller_caps)
-    residual = {s: list(instance.seller_caps[s]) for s in seller_ids}
-    totals = [sum(instance.seller_caps[s].units[k] for s in seller_ids) for k in range(dim)]
-    norms = [t if t > 0 else 1 for t in totals]
-
-    def density(bid: Bid) -> Fraction:
-        weight = Fraction(1) + sum(
-            Fraction(d, norms[k]) for k, d in enumerate(bid.demand)
-        )
-        return Fraction(bid.amount) / weight
-
-    ranked = sorted(
-        (bid for bid in instance.bids if bid.amount > 0),
-        key=lambda b: (-density(b), b.buyer_id),
-    )
-
+    lcm, units = _scale(instance)
     pairs: list[tuple[int, int]] = []
     objective = 0
-    for bid in ranked:
-        demand = tuple(bid.demand)
-        best_seller = None
-        best_slack = None
-        for s in seller_ids:
-            room = residual[s]
-            if all(demand[k] <= room[k] for k in range(dim)):
-                slack = min(
-                    (Fraction(room[k] - demand[k], norms[k]) for k in range(dim)),
-                    default=Fraction(0),
-                )
-                if best_slack is None or slack > best_slack:
-                    best_seller, best_slack = s, slack
-        if best_seller is None:
-            continue
-        room = residual[best_seller]
-        for k in range(dim):
-            room[k] -= demand[k]
-        pairs.append((bid.buyer_id, best_seller))
+    for bid, _weight, seller, _room in _greedy_placements(instance, lcm, units):
+        pairs.append((bid.buyer_id, seller))
         objective += bid.amount
     return WdpSolution(Assignment(tuple(pairs)), objective, False)
+
+
+def greedy_threshold(others: WdpInstance, own: Bid) -> int:
+    """Least amount (at least 1) at which greedy still places ``own`` among ``others``.
+
+    ``own`` is a greedy winner, so it fits some seller of the empty
+    round.  The bids ranked ahead of it are placed the same way whether
+    or not it takes part, so it is placed exactly when some seller
+    still fits its demand at its rank (Lehmann, O'Callaghan & Shoham
+    2002).  Let j be the first bid placed without it after which no
+    seller fits that demand.  At amount x, ``own`` ranks ahead of j when
+    x * w_j > a_j * w_own, or when they are equal and its buyer id is
+    lower: it pays ceil(a_j * w_own / w_j) with the lower id and
+    floor(a_j * w_own / w_j) + 1 with the higher.  Without such a j any
+    positive amount wins, so it pays 1.
+    """
+    lcm, units = _scale(others)
+    need = list(map(mul, own.demand.units, units))
+    weight = lcm + sum(need)
+    fitting = {s for s, cap in others.seller_caps.items() if own.demand.fits_within(cap)}
+    for bid, bid_weight, seller, room in _greedy_placements(others, lcm, units):
+        if seller in fitting and min(map(sub, room, need), default=0) < 0:
+            fitting.discard(seller)
+            if not fitting:
+                bar, rest = divmod(bid.amount * weight, bid_weight)
+                return bar + (rest > 0) if own.buyer_id < bid.buyer_id else bar + 1
+    return 1

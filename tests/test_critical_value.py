@@ -4,10 +4,15 @@ The reference in this file re-solves the round once per trial bid and
 searches for the smallest own bid in [1, b_i] at which the buyer still
 wins, which is the definition of the critical value.  The production
 code derives the exact solver's payment from two solves instead, and
-keeps a bisection only for the greedy heuristic.
+the greedy heuristic's from one greedy pass without the winner.
 """
 
+import json
 import random
+import time
+from pathlib import Path
+
+import mdcauction
 
 from mdcauction import (
     AuctionLedger,
@@ -18,6 +23,7 @@ from mdcauction import (
     Seller,
     run_srmra,
 )
+from mdcauction.cli import main
 from mdcauction.wdp import WdpInstance, solve_exact, solve_greedy
 from wdp_oracle import brute_force_best, random_unit_instance
 
@@ -114,3 +120,58 @@ def test_greedy_payment_is_its_own_threshold():
             for higher in (own + 1, own + rng.randint(1, 20_000), 10 * own):
                 assert wins_at(bids, sellers, buyer_id, higher, solve_greedy)
     assert winners > 100
+
+
+def test_greedy_payments_equal_the_bisection():
+    rng = random.Random(6)
+    winners = above_one = 0
+    for seed in range(300):
+        amounts, demands, caps = random_unit_instance(seed)
+        amounts = [rng.choice((a, 1000 * a + rng.randint(0, 999))) for a in amounts]
+        bids, sellers = round_inputs(amounts, demands, caps)
+        for buyer_id, payment in clear(bids, sellers, "greedy").payments.items():
+            assert payment == bisect_payment(bids, sellers, buyer_id, solve_greedy), (seed, buyer_id)
+            winners += 1
+            above_one += payment > 1
+    assert winners > 500
+    assert above_one > 100
+
+
+def test_greedy_tie_at_the_blocking_bid():
+    # One seller of capacity 3: L = 3, a demand of d weighs 3 + d.  The
+    # winner (demand 1, weight 4) and the blocking bid (demand 3,
+    # weight 6) cannot both fit, so the winner pays the least amount
+    # that ranks it ahead.  Against 9 that is 9 * 4 / 6 = 6 exactly, a
+    # density tie that only the lower buyer id wins; against 10 it is
+    # the ceiling of 10 * 4 / 6 on both sides.
+    sellers = (Seller(0, ResourceVector((3,))),)
+    small, large = ResourceVector((1,)), ResourceVector((3,))
+    cases = [
+        ([Bid(0, ROUND, 10, small), Bid(1, ROUND, 9, large)], {0: 6}),
+        ([Bid(0, ROUND, 9, large), Bid(1, ROUND, 10, small)], {1: 7}),
+        ([Bid(0, ROUND, 11, small), Bid(1, ROUND, 10, large)], {0: 7}),
+        ([Bid(0, ROUND, 10, large), Bid(1, ROUND, 11, small)], {1: 7}),
+    ]
+    for bids, payments in cases:
+        assert clear(bids, sellers, "greedy").payments == payments
+        for buyer_id, payment in payments.items():
+            assert payment == bisect_payment(bids, sellers, buyer_id, solve_greedy)
+
+
+def test_greedy_winner_that_always_fits_pays_one():
+    sellers = (Seller(0, ResourceVector((1,))), Seller(1, ResourceVector((1,))))
+    bids = [Bid(0, ROUND, 5, ResourceVector((1,))), Bid(1, ROUND, 9, ResourceVector((1,)))]
+    assert clear(bids, sellers, "greedy").payments == {0: 1, 1: 1}
+
+
+def test_users40_greedy_critical_value_compare_is_prompt(tmp_path):
+    # On 2 vCPUs this takes about 0.5 s; a bisection over the own bid
+    # (about 14 greedy solves per winner) took about 25 s.
+    profile = Path(mdcauction.__file__).parent / "data" / "profiles" / "users40.json"
+    params = json.loads(profile.read_text())
+    params["mechanism"] = {"solver": "greedy", "pricing": "critical_value"}
+    path = tmp_path / "users40_cv.json"
+    path.write_text(json.dumps(params))
+    start = time.perf_counter()
+    assert main(["compare", str(path), "--seeds", "1", "--out", str(tmp_path / "cv.csv")]) == 0
+    assert time.perf_counter() - start < 15

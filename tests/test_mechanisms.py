@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +23,7 @@ from mdcauction import (
     run_repeated_srmra,
     run_srmra,
 )
+from mdcauction.mechanisms import _scaled_ask
 from helpers import (
     TABLE1_BIDS,
     TABLE2_BIDS,
@@ -352,6 +356,24 @@ class TestDoubleAuction:
         result = run_double_auction(scenario)
         # effective ask 3, midpoint of (5, 3) = 4
         assert result.rounds[0].payments == {0: 4000}
+
+
+@st.composite
+def asks_and_demands(draw):
+    capacity = draw(st.lists(st.integers(0, 50_000), max_size=4))
+    # A zero capacity only meets a zero demand: the fit check comes first.
+    demand = tuple(0 if c == 0 else draw(st.integers(0, c)) for c in capacity)
+    return draw(st.integers(0, 10**9)), capacity, demand
+
+
+@settings(max_examples=300, deadline=None)
+@given(asks_and_demands())
+def test_scaled_ask_equals_the_fraction_formula(data):
+    ask, capacity, demand = data
+    seller = Seller(0, ResourceVector(tuple(capacity)), None, ask)
+    load = sum(Fraction(d, c) for d, c in zip(demand, capacity) if d)
+    expected = math.floor(ask * load / len(demand)) if demand else 0
+    assert _scaled_ask(seller, demand) == expected
 
 
 def test_no_overdraft_across_thousand_seeded_scenarios():

@@ -13,7 +13,7 @@ from mdcauction import (
     solve_greedy,
 )
 from mdcauction.model import Assignment
-from wdp_oracle import brute_force_best, check_feasible, random_unit_instance
+from wdp_oracle import brute_force_best, check_feasible, fraction_greedy, random_unit_instance
 
 
 def make_instance(amounts, demands, caps):
@@ -170,3 +170,39 @@ def test_exact_matches_oracle_on_seeded_sample():
         amounts, demands, caps = random_unit_instance(seed)
         instance = make_instance(amounts, demands, caps)
         assert solve_exact(instance).objective == brute_force_best(amounts, demands, caps) * 1000
+
+
+@st.composite
+def greedy_instances(draw):
+    """Milli-unit instances with the corners greedy must rank and place exactly.
+
+    Dimension 0, zero capacities, zero demands, zero bids and amounts up
+    to 10**12 all occur; clones of earlier bids (same amount and demand,
+    another id) force equal densities.
+    """
+    d = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 12))
+    amount = st.one_of(st.integers(0, 8), st.integers(0, 20_000), st.integers(0, 10**12))
+    bids = []
+    for i in range(n):
+        if bids and draw(st.booleans()):
+            twin = draw(st.sampled_from(bids))
+            bids.append(Bid(i, 1, twin.amount, twin.demand))
+            continue
+        demand = tuple(draw(st.integers(0, 5)) for _ in range(d))
+        bids.append(Bid(i, 1, draw(amount), ResourceVector(demand)))
+    caps = {
+        2 * j + 1: ResourceVector(tuple(draw(st.integers(0, 10)) for _ in range(d)))
+        for j in range(m)
+    }
+    return WdpInstance(tuple(bids), caps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(greedy_instances())
+def test_greedy_matches_the_fraction_oracle(instance):
+    assignment, objective = fraction_greedy(instance)
+    solution = solve_greedy(instance)
+    assert solution.assignment.pairs == assignment.pairs
+    assert solution.objective == objective

@@ -4,12 +4,17 @@ Enumerates every buyer-to-(seller or unassigned) mapping, cutting only
 infeasible prefixes (all of whose extensions are infeasible too).  No
 objective-based pruning, no shared code with the production solver.
 Works in whole units for speed.  ``check_feasible`` is the matching
-feasibility oracle for solver outputs.
+feasibility oracle for solver outputs.  ``fraction_greedy`` is the
+density-greedy heuristic written with exact fractions, the reference
+that the integer ``solve_greedy`` must reproduce placement for
+placement.
 """
 
 import random
+from fractions import Fraction
 
 from mdcauction import ValidationError
+from mdcauction.model import Assignment
 
 
 def check_feasible(assignment, instance) -> bool:
@@ -24,6 +29,51 @@ def check_feasible(assignment, instance) -> bool:
         demand = demand_of[buyer_id]
         load[seller_id] = load[seller_id] + demand if seller_id in load else demand
     return all(total.fits_within(instance.seller_caps[s]) for s, total in load.items())
+
+
+def fraction_greedy(instance):
+    """(assignment, objective) of the density greedy, in exact fractions.
+
+    Bids rank by amount / (1 + sum_k d_k / T_k), where T_k is the total
+    capacity in dimension k (1 when that total is 0), ties to the lower
+    buyer id; each goes to the fitting seller with the largest minimum
+    of (room_k - d_k) / T_k, ties to the lower seller id.
+    """
+    dim = instance.dimension
+    seller_ids = sorted(instance.seller_caps)
+    residual = {s: list(instance.seller_caps[s]) for s in seller_ids}
+    totals = [sum(instance.seller_caps[s].units[k] for s in seller_ids) for k in range(dim)]
+    norms = [t if t > 0 else 1 for t in totals]
+
+    def density(bid):
+        weight = 1 + sum(Fraction(d, norms[k]) for k, d in enumerate(bid.demand))
+        return Fraction(bid.amount) / weight
+
+    ranked = sorted(
+        (bid for bid in instance.bids if bid.amount > 0),
+        key=lambda b: (-density(b), b.buyer_id),
+    )
+    pairs = []
+    objective = 0
+    for bid in ranked:
+        demand = tuple(bid.demand)
+        best_seller = best_slack = None
+        for s in seller_ids:
+            room = residual[s]
+            if all(demand[k] <= room[k] for k in range(dim)):
+                slack = min(
+                    (Fraction(room[k] - demand[k], norms[k]) for k in range(dim)),
+                    default=Fraction(0),
+                )
+                if best_slack is None or slack > best_slack:
+                    best_seller, best_slack = s, slack
+        if best_seller is None:
+            continue
+        for k in range(dim):
+            residual[best_seller][k] -= demand[k]
+        pairs.append((bid.buyer_id, best_seller))
+        objective += bid.amount
+    return Assignment(tuple(pairs)), objective
 
 
 def brute_force_best(amounts, demands, caps) -> int:
