@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import chain
 from operator import mul, sub
 
 from .errors import InvariantViolation, ValidationError
@@ -77,7 +78,7 @@ class WdpSolution:
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Exact search ran out of nodes; carries the best incumbent found."""
+    """Exact search ran out of nodes; carries its incumbent, or greedy's solution if better."""
 
     def __init__(self, node_budget: int, best: WdpSolution):
         self.node_budget = node_budget
@@ -97,16 +98,37 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     preference to later ones, lower seller ids in preference to higher,
     assigned in preference to unassigned.
 
-    Raises SearchBudgetExceeded (carrying the incumbent) if more than
-    ``node_budget`` nodes are expanded.
+    Each seller's residual capacity is one integer with a field of
+    B + 1 bits per dimension, where B is the bit length of the largest
+    demand or capacity component: the low B bits hold the residual and
+    the top bit is a guard, set in every field.  A demand is packed the
+    same way without guards.  Every component is below 2**B, so
+    ``room - need`` never borrows across fields, and the guard of a
+    field survives exactly when that field's demand fits: the demand
+    fits in every dimension iff ``(room - need) & guard == guard``, and
+    assigning it is that one subtraction (Lamport, "Multiple byte
+    processing with full-word instructions", CACM 1975).  With no
+    dimensions ``guard`` is 0 and every demand fits.
+
+    Raises SearchBudgetExceeded if more than ``node_budget`` nodes are
+    expanded.  It carries the search's incumbent, or greedy's solution
+    where that is strictly better; either way not proven optimal.
     """
     bids = sorted(instance.bids, key=lambda b: b.buyer_id)
     n = len(bids)
     amounts = [b.amount for b in bids]
-    demands = [tuple(b.demand) for b in bids]
     seller_ids = sorted(instance.seller_caps)
-    residual = [list(instance.seller_caps[s]) for s in seller_ids]
-    dim = instance.dimension
+    caps = [instance.seller_caps[s].units for s in seller_ids]
+    demands = [b.demand.units for b in bids]
+    width = max(chain.from_iterable(caps + demands), default=0).bit_length() + 1
+
+    def pack(units) -> int:
+        return sum(q << (k * width) for k, q in enumerate(units))
+
+    guard = pack([1 << (width - 1)] * instance.dimension)
+    rooms = [guard + pack(cap) for cap in caps]
+    needs = [pack(d) for d in demands]
+    choices = [list(enumerate((b.buyer_id, s) for s in seller_ids)) for b in bids]
 
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -118,9 +140,10 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     nodes = 0
 
     def incumbent() -> WdpSolution:
-        if best_value < 0:
-            return WdpSolution(Assignment(()), 0, False)
-        return WdpSolution(Assignment(best_pairs), best_value, False)
+        greedy = solve_greedy(instance)
+        if greedy.objective > max(best_value, 0):
+            return greedy
+        return WdpSolution(Assignment(best_pairs), max(best_value, 0), False)
 
     def descend(i: int, value: int) -> None:
         nonlocal best_value, best_pairs, nodes
@@ -134,17 +157,17 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
                 best_value = value
                 best_pairs = tuple(chosen)
             return
-        demand = demands[i]
-        for j, seller_id in enumerate(seller_ids):
-            room = residual[j]
-            if all(demand[k] <= room[k] for k in range(dim)):
-                for k in range(dim):
-                    room[k] -= demand[k]
-                chosen.append((bids[i].buyer_id, seller_id))
-                descend(i + 1, value + amounts[i])
+        need = needs[i]
+        taken = value + amounts[i]
+        for j, pair in choices[i]:
+            room = rooms[j]
+            left = room - need
+            if left & guard == guard:
+                rooms[j] = left
+                chosen.append(pair)
+                descend(i + 1, taken)
                 chosen.pop()
-                for k in range(dim):
-                    room[k] += demand[k]
+                rooms[j] = room
         descend(i + 1, value)
 
     descend(0, 0)

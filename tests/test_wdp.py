@@ -13,7 +13,13 @@ from mdcauction import (
     solve_greedy,
 )
 from mdcauction.model import Assignment
-from wdp_oracle import brute_force_best, check_feasible, fraction_greedy, random_unit_instance
+from wdp_oracle import (
+    brute_force_best,
+    check_feasible,
+    fraction_greedy,
+    list_exact,
+    random_unit_instance,
+)
 
 
 def make_instance(amounts, demands, caps):
@@ -63,6 +69,63 @@ class TestSolveExact:
         assert not best.optimal
         assert best.objective <= 8000
         assert check_feasible(best.assignment, instance)
+
+    def test_exhausted_search_returns_at_least_greedy(self):
+        # buyer 0 (worth 1) takes the only unit; the search's first leaf keeps
+        # it, and the budget runs out before buyer 1 (worth 10) is tried alone
+        instance = make_instance([1, 10], [(1,), (1,)], [(1,)])
+        with pytest.raises(SearchBudgetExceeded) as plain:
+            list_exact(instance, node_budget=3)
+        greedy = solve_greedy(instance)
+        assert plain.value.best.objective < greedy.objective
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            solve_exact(instance, node_budget=3)
+        best = exc.value.best
+        assert not best.optimal
+        assert check_feasible(best.assignment, instance)
+        assert best.objective >= greedy.objective
+
+
+class TestPackedFit:
+    """The packed residual's guard bit: a demand fits exactly when it fits in every dimension."""
+
+    CAP = (7, 2**64, 0)
+
+    def solve(self, first, second):
+        bids = (Bid(0, 1, 1, ResourceVector(first)), Bid(1, 1, 1, ResourceVector(second)))
+        return solve_exact(WdpInstance(bids, {0: ResourceVector(self.CAP)}))
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_demand_equal_to_the_residual_fits_and_one_more_does_not(self, k):
+        first = (3, 2**63, 0)
+        rest = tuple(c - f for c, f in zip(self.CAP, first))
+        assert self.solve(first, rest).assignment.to_dict() == {0: 0, 1: 0}
+        over = tuple(q + (i == k) for i, q in enumerate(rest))
+        assert self.solve(first, over).assignment.to_dict() == {0: 0}
+
+    @pytest.mark.parametrize("k", range(2))
+    def test_one_more_than_the_capacity_widens_the_field_and_does_not_fit(self, k):
+        cap = (2**64 - 1, 5)
+        over = tuple(q + (i == k) for i, q in enumerate(cap))
+        instance = WdpInstance((Bid(0, 1, 1, ResourceVector(cap)),), {0: ResourceVector(cap)})
+        assert solve_exact(instance).assignment.to_dict() == {0: 0}
+        instance = WdpInstance((Bid(0, 1, 1, ResourceVector(over)),), {0: ResourceVector(cap)})
+        assert not solve_exact(instance).assignment
+
+    def test_all_zero_instance_assigns_everyone_to_the_lowest_seller(self):
+        zero = ResourceVector((0, 0))
+        bids = tuple(Bid(i, 1, 1, zero) for i in range(3))
+        solution = solve_exact(WdpInstance(bids, {4: zero, 2: zero}))
+        assert solution.optimal
+        assert solution.assignment.to_dict() == {0: 2, 1: 2, 2: 2}
+
+    def test_dimension_zero_always_fits(self):
+        empty = ResourceVector(())
+        bids = tuple(Bid(i, 1, 1 + i, empty) for i in range(3))
+        solution = solve_exact(WdpInstance(bids, {3: empty, 1: empty}))
+        assert solution.assignment.to_dict() == {0: 1, 1: 1, 2: 1}
+        assert solution.objective == 6
+        assert not solve_exact(WdpInstance(bids, {})).assignment
 
 
 class TestSolveGreedy:
@@ -206,3 +269,54 @@ def test_greedy_matches_the_fraction_oracle(instance):
     solution = solve_greedy(instance)
     assert solution.assignment.pairs == assignment.pairs
     assert solution.objective == objective
+
+
+@st.composite
+def exact_instances(draw):
+    """Raw-unit instances with the corners the packed residuals must get right.
+
+    Dimension 0, zero capacities and zero demands occur; components up
+    to 2**64 mix with single-digit ones; and sometimes one bid demands
+    more than every capacity in one dimension and nothing in the others.
+    """
+    d = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 11))
+    component = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 2**64))
+    amount = st.one_of(st.integers(0, 20), st.integers(0, 10**12))
+    bids = [
+        Bid(i, 1, draw(amount), ResourceVector(tuple(draw(component) for _ in range(d))))
+        for i in range(n)
+    ]
+    caps = {
+        3 * j + 2: ResourceVector(tuple(draw(component) for _ in range(d))) for j in range(m)
+    }
+    if d and n and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        k = draw(st.integers(0, d - 1))
+        units = [0] * d
+        units[k] = max((cap.units[k] for cap in caps.values()), default=0) + draw(st.integers(1, 9))
+        bids[i] = Bid(i, 1, bids[i].amount, ResourceVector(tuple(units)))
+    return WdpInstance(tuple(bids), caps)
+
+
+def _outcome(solve, instance, node_budget):
+    try:
+        return True, solve(instance, node_budget)
+    except SearchBudgetExceeded as exc:
+        return False, exc.best
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_instances(), st.one_of(st.integers(1, 300), st.integers(1, 10**6)))
+def test_exact_matches_the_list_oracle(instance, node_budget):
+    finished, solution = _outcome(solve_exact, instance, node_budget)
+    oracle_finished, expected = _outcome(list_exact, instance, node_budget)
+    assert finished == oracle_finished
+    if not finished:
+        greedy = solve_greedy(instance)
+        if greedy.objective > expected.objective:
+            expected = greedy
+    assert solution.assignment.pairs == expected.assignment.pairs
+    assert solution.objective == expected.objective
+    assert solution.optimal == expected.optimal

@@ -7,13 +7,15 @@ Works in whole units for speed.  ``check_feasible`` is the matching
 feasibility oracle for solver outputs.  ``fraction_greedy`` is the
 density-greedy heuristic written with exact fractions, the reference
 that the integer ``solve_greedy`` must reproduce placement for
-placement.
+placement.  ``list_exact`` is the branch and bound with per-dimension
+residual lists, the reference that the packed-integer ``solve_exact``
+must reproduce node for node.
 """
 
 import random
 from fractions import Fraction
 
-from mdcauction import ValidationError
+from mdcauction import SearchBudgetExceeded, ValidationError, WdpSolution
 from mdcauction.model import Assignment
 
 
@@ -74,6 +76,65 @@ def fraction_greedy(instance):
         pairs.append((bid.buyer_id, best_seller))
         objective += bid.amount
     return Assignment(tuple(pairs)), objective
+
+
+def list_exact(instance, node_budget):
+    """``solve_exact``'s search with one residual list per seller.
+
+    Same branch order, bound and tie-break; raises SearchBudgetExceeded
+    carrying the plain incumbent, with no greedy floor.
+    """
+    bids = sorted(instance.bids, key=lambda b: b.buyer_id)
+    n = len(bids)
+    amounts = [b.amount for b in bids]
+    demands = [tuple(b.demand) for b in bids]
+    seller_ids = sorted(instance.seller_caps)
+    residual = [list(instance.seller_caps[s]) for s in seller_ids]
+    dim = instance.dimension
+
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + amounts[i]
+
+    best_value = -1
+    best_pairs = ()
+    chosen = []
+    nodes = 0
+
+    def incumbent():
+        if best_value < 0:
+            return WdpSolution(Assignment(()), 0, False)
+        return WdpSolution(Assignment(best_pairs), best_value, False)
+
+    def descend(i, value):
+        nonlocal best_value, best_pairs, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(node_budget, incumbent())
+        if value + suffix[i] <= best_value:
+            return
+        if i == n:
+            if value > best_value:
+                best_value = value
+                best_pairs = tuple(chosen)
+            return
+        demand = demands[i]
+        for j, seller_id in enumerate(seller_ids):
+            room = residual[j]
+            if all(demand[k] <= room[k] for k in range(dim)):
+                for k in range(dim):
+                    room[k] -= demand[k]
+                chosen.append((bids[i].buyer_id, seller_id))
+                descend(i + 1, value + amounts[i])
+                chosen.pop()
+                for k in range(dim):
+                    room[k] += demand[k]
+        descend(i + 1, value)
+
+    descend(0, 0)
+    if best_value < 0:
+        return WdpSolution(Assignment(()), 0, True)
+    return WdpSolution(Assignment(best_pairs), best_value, True)
 
 
 def brute_force_best(amounts, demands, caps) -> int:
