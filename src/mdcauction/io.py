@@ -92,18 +92,22 @@ def _int_range(value, field: str) -> tuple[int, int]:
     return (_int_value(value[0], f"{field}[0]"), _int_value(value[1], f"{field}[1]"))
 
 
-_MECHANISM_KEYS = {f.name for f in fields(MechanismConfig)}
+# Ties always go to the lowest buyer index.  Files may still name that
+# rule as ``tie_rule``; it is the only value accepted and nothing reads it.
+_MECHANISM_KEYS = {f.name for f in fields(MechanismConfig)} | {"tie_rule"}
 
 
 def parse_mechanism(doc: dict, prefix: str = "mechanism.") -> MechanismConfig:
     _reject_unknown(doc, _MECHANISM_KEYS, prefix)
+    if doc.get("tie_rule", "lowest_index") != "lowest_index":
+        raise ValidationError(f"{prefix}tie_rule", "must be 'lowest_index'")
     kwargs = {}
     if "gamma" in doc:
         gamma = doc["gamma"]
         if isinstance(gamma, bool) or not isinstance(gamma, (int, float, Decimal)):
             raise ValidationError(f"{prefix}gamma", "expected a number")
         kwargs["gamma"] = float(gamma)
-    for key in ("scope", "tie_rule", "pricing", "solver"):
+    for key in ("scope", "pricing", "solver"):
         if key in doc:
             if not isinstance(doc[key], str):
                 raise ValidationError(f"{prefix}{key}", "expected a string")
@@ -228,8 +232,8 @@ def parse_scenario(doc: dict) -> Scenario:
         if not isinstance(row, list):
             raise ValidationError(f"bids[{i}]", "expected an array of per-round bids")
         parsed_row = []
-        for l, entry in enumerate(row, start=1):
-            field = f"bids[{i}][{l - 1}]"
+        for l, entry in enumerate(row):
+            field = f"bids[{i}][{l}]"
             if not isinstance(entry, dict):
                 raise ValidationError(field, "expected an object with amount and demand")
             _reject_unknown(entry, {"amount", "demand"}, f"{field}.")
@@ -237,7 +241,7 @@ def parse_scenario(doc: dict) -> Scenario:
             demand = _vector(_require(entry, "demand", f"{field}."), f"{field}.demand", dimensions)
             if dimensions is None:
                 dimensions = len(demand)
-            parsed_row.append(Bid(i, l, amount, demand))
+            parsed_row.append(Bid(i, amount, demand))
         matrix.append(tuple(parsed_row))
 
     return Scenario(

@@ -2,14 +2,16 @@
 
 Every mechanism runs one round loop, ``_run``: clamp each bid to the
 remaining budget, optionally adjust it, clear the round, charge the
-ledger.  ``run_srmra`` clears one round: winner determination over the
-effective bids, first-price or critical-value payments, ledger charge.
-``run_repeated_srmra`` cycles it without adjustment, the baseline whose
-budgets burn out early.  ``run_mafl`` first shrinks the previous
-winners' bids in proportion to their remaining budget, which stretches
-budgets across the horizon.  ``run_double_auction`` clears by a
-simplified bid/ask matching instead.  ``replay`` adapts a unit-demand,
-single-pool desk fixture into a scenario for repeated SRMRA.
+ledger.  Bids carry no round index: a clearing rule numbers its outcome
+one past the rounds the ledger has charged.  ``run_srmra`` clears one
+round: winner determination over the effective bids, first-price or
+critical-value payments, ledger charge.  ``run_repeated_srmra`` cycles
+it without adjustment, the baseline whose budgets burn out early.
+``run_mafl`` first shrinks the previous winners' bids in proportion to
+their remaining budget, which stretches budgets across the horizon.
+``run_double_auction`` clears by a simplified bid/ask matching instead.
+``replay`` adapts a unit-demand, single-pool desk fixture into a
+scenario for repeated SRMRA.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, ValidationError
+from .errors import ValidationError
 from .model import Assignment, AuctionLedger, Bid, Buyer, ResourceVector, RoundOutcome, Seller
 from .money import SCALE, scale_by_ratio_pow, to_milli
 from .scenario import MechanismConfig, Scenario, new_ledger
@@ -26,28 +28,18 @@ from .wdp import WdpInstance, greedy_threshold, solve_exact, solve_greedy
 
 @dataclass(frozen=True)
 class AuctionResult:
-    """A full run: per-round outcomes, totals, and the final ledger."""
+    """A full run: per-round outcomes and the final ledger; totals are derived."""
 
     rounds: tuple[RoundOutcome, ...]
-    total_utility: int
-    total_revenue: int
     ledger: AuctionLedger
 
-    def __post_init__(self):
-        utility = sum(r.utility for r in self.rounds)
-        revenue = sum(r.revenue for r in self.rounds)
-        if self.total_utility != utility or self.total_revenue != revenue:
-            raise InvariantViolation("result totals disagree with per-round outcomes")
+    @property
+    def total_utility(self) -> int:
+        return sum(r.utility for r in self.rounds)
 
-
-def _result(ledger: AuctionLedger) -> AuctionResult:
-    rounds = tuple(ledger.history)
-    return AuctionResult(
-        rounds,
-        sum(r.utility for r in rounds),
-        sum(r.revenue for r in rounds),
-        ledger,
-    )
+    @property
+    def total_revenue(self) -> int:
+        return sum(r.revenue for r in self.rounds)
 
 
 def adjust_bid(
@@ -82,7 +74,7 @@ def _wins_at(instance: WdpInstance, winner_id: int, amount: int, solve) -> bool:
     """Whether the buyer wins the round when its own bid is ``amount``."""
     trial = WdpInstance(
         tuple(
-            Bid(b.buyer_id, b.round, amount, b.demand) if b.buyer_id == winner_id else b
+            Bid(b.buyer_id, amount, b.demand) if b.buyer_id == winner_id else b
             for b in instance.bids
         ),
         instance.seller_caps,
@@ -125,21 +117,17 @@ def run_srmra(
     sellers: tuple[Seller, ...],
     ledger: AuctionLedger,
     config: MechanismConfig = MechanismConfig(),
-    round_index: int | None = None,
 ) -> RoundOutcome:
-    """Clear a single round and charge the ledger.
+    """Clear the ledger's next round and charge it.
 
     Bids must already be clamped to remaining budgets (and adjusted, if
     a multi-round framework is driving).  Zero-amount bids never win;
     winners pay their bids under first-price pricing and their critical
     values (see ``_critical_payment``) under critical-value pricing.
+    The outcome is round ``len(ledger.history) + 1``.
     """
-    if round_index is None:
-        round_index = bids[0].round if bids else len(ledger.history) + 1
     dimension = len(sellers[0].round_capacity) if sellers else None
     for bid in bids:
-        if bid.round != round_index:
-            raise ValidationError(f"bids[{bid.buyer_id}].round", "bids span several rounds")
         if dimension is not None and len(bid.demand) != dimension:
             raise ValidationError(
                 f"bids[{bid.buyer_id}].demand", "dimension differs from seller capacities"
@@ -164,12 +152,11 @@ def run_srmra(
             buyer: _critical_payment(instance, buyer, solve, optimum) for buyer in winning_bids
         }
     outcome = RoundOutcome(
-        round=round_index,
+        round=len(ledger.history) + 1,
         winners=solution.assignment,
         bids=winning_bids,
         payments=payments,
         demands={buyer: demand_of[buyer] for buyer, _ in solution.assignment},
-        utility=sum(winning_bids.values()),
     )
     ledger.charge(outcome)
     return outcome
@@ -184,23 +171,21 @@ def _run(scenario: Scenario, clear, adjust: bool = False) -> AuctionResult:
     ``run_srmra``, clears the round, charges the ledger and returns the
     outcome.
     """
-    if not scenario.materialized:
-        raise ValidationError("scenario", "generator scenarios must be materialized before running")
     ledger = new_ledger(scenario)
     previous_winners: set[int] = set()
-    for l in range(1, scenario.horizon + 1):
+    for column in range(scenario.horizon):
         round_bids = []
         for buyer in scenario.buyers:
-            raw = scenario.bid_matrix[buyer.id][l - 1]
+            raw = scenario.bid_matrix[buyer.id][column]
             remaining = ledger.remaining_budget[buyer.id]
             amount = min(raw.amount, remaining)
             if adjust:
                 won = buyer.id in previous_winners
                 amount = adjust_bid(amount, remaining, buyer.budget, scenario.mechanism, won)
-            round_bids.append(Bid(buyer.id, l, amount, raw.demand))
-        outcome = clear(round_bids, scenario.sellers, ledger, scenario.mechanism, l)
+            round_bids.append(Bid(buyer.id, amount, raw.demand))
+        outcome = clear(round_bids, scenario.sellers, ledger, scenario.mechanism)
         previous_winners = outcome.winners.buyers()
-    return _result(ledger)
+    return AuctionResult(tuple(ledger.history), ledger)
 
 
 def run_repeated_srmra(scenario: Scenario) -> AuctionResult:
@@ -262,12 +247,12 @@ def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
         if matrix and len(amounts) != len(matrix[0]):
             horizon = len(matrix[0])
             raise ValidationError(f"bids[{i}]", f"expected {horizon} rounds, got {len(amounts)}")
-        matrix.append(tuple(Bid(i, l, a, unit) for l, a in enumerate(amounts, start=1)))
+        matrix.append(tuple(Bid(i, a, unit) for a in amounts))
 
     buyers = tuple(Buyer(i, b) for i, b in enumerate(budget_milli))
     seller = Seller(0, ResourceVector((items_per_round * SCALE,)))
     if not matrix or not matrix[0]:
-        return _result(AuctionLedger.new(buyers, [seller]))
+        return AuctionResult((), AuctionLedger.new(buyers, [seller]))
     greedy = MechanismConfig(solver="greedy")
     return run_repeated_srmra(
         Scenario(buyers, (seller,), len(matrix[0]), 1, tuple(matrix), mechanism=greedy)
@@ -294,9 +279,8 @@ def _match_bids_and_asks(
     sellers: tuple[Seller, ...],
     ledger: AuctionLedger,
     config: MechanismConfig,
-    round_index: int,
 ) -> RoundOutcome:
-    """Clear one double-auction round; ``config`` is unused."""
+    """Clear the ledger's next round as a double auction; ``config`` is unused."""
     residual = {s.id: list(ledger.effective_capacity(s)) for s in sellers}
     sellers_by_ask = sorted(sellers, key=lambda s: (s.ask, s.id))
     order = sorted((b for b in bids if b.amount > 0), key=lambda b: (-b.amount, b.buyer_id))
@@ -323,12 +307,11 @@ def _match_bids_and_asks(
             demands[bid.buyer_id] = bid.demand
             break
     outcome = RoundOutcome(
-        round=round_index,
+        round=len(ledger.history) + 1,
         winners=Assignment(tuple(pairs)),
         bids=bids_map,
         payments=payments,
         demands=demands,
-        utility=sum(bids_map.values()),
     )
     ledger.charge(outcome)
     return outcome

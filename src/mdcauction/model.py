@@ -105,16 +105,17 @@ class Seller:
 
 @dataclass(frozen=True)
 class Bid:
-    """One buyer's offer in one round: money plus demanded resources."""
+    """One buyer's offer for one round: money plus demanded resources.
+
+    A bid does not name its round: the round is when it is cleared, and
+    the ledger numbers it.
+    """
 
     buyer_id: int
-    round: int  # 1-based round index
     amount: int  # milli-units, >= 0
     demand: ResourceVector
 
     def __post_init__(self):
-        if self.round < 1:
-            raise ValidationError("bid.round", "must be >= 1")
         if self.amount < 0:
             raise ValidationError(f"bids[{self.buyer_id}].amount", "must be >= 0")
 
@@ -138,9 +139,6 @@ class Assignment:
             seen.add(buyer_id)
         object.__setattr__(self, "pairs", ordered)
 
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def buyers(self) -> set[int]:
         return {b for b, _ in self.pairs}
 
@@ -158,7 +156,9 @@ class Assignment:
 class RoundOutcome:
     """One round's result: winners, what they bid, what they paid.
 
-    ``utility`` is the sum of the winners' accepted bid amounts.  Under
+    ``round`` is the 1-based position of the round in the ledger's
+    history.  ``utility`` is the sum of the winners' accepted bid
+    amounts and ``revenue`` the sum of their payments.  Under
     first-price pricing payments equal bids; other pricing modes may
     charge less, so both maps are kept.
     """
@@ -168,7 +168,6 @@ class RoundOutcome:
     bids: dict[int, int]  # winner -> accepted bid amount
     payments: dict[int, int]  # winner -> charged amount
     demands: dict[int, ResourceVector]  # winner -> served demand
-    utility: int
 
     def __post_init__(self):
         object.__setattr__(self, "bids", dict(self.bids))
@@ -181,14 +180,10 @@ class RoundOutcome:
             raise InvariantViolation("payments charged to a non-winner")
         if set(self.demands) != winner_ids:
             raise InvariantViolation("served demands must cover exactly the winners")
-        if self.utility != sum(self.bids.values()):
-            raise InvariantViolation(
-                f"utility {self.utility} != sum of winning bids {sum(self.bids.values())}"
-            )
 
-    @classmethod
-    def empty(cls, round_index: int) -> "RoundOutcome":
-        return cls(round_index, Assignment(()), {}, {}, {}, 0)
+    @property
+    def utility(self) -> int:
+        return sum(self.bids.values())
 
     @property
     def revenue(self) -> int:
@@ -203,7 +198,8 @@ class AuctionLedger:
     share over the rest of the horizon; ``None`` means unbounded.
     Every mutation re-checks the no-overdraft and no-overrun
     invariants, so a violation always surfaces at the charge that
-    caused it.
+    caused it.  ``history[l - 1]`` is round l's outcome, so the round
+    a clearing rule charges next is ``len(history) + 1``.
     """
 
     initial_budget: dict[int, int]

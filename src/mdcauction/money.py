@@ -87,4 +87,6 @@ def scale_by_ratio_pow(amount: int, num: int, den: int, exponent: float) -> int:
         return amount * num**g // den**g
     if num == 0:
         return 0
-    return math.floor(amount * (num / den) ** exponent)
+    scaled = math.floor(amount * (num / den) ** exponent)
+    # Float rounding can lift a result past the amount on a ratio of at most 1.
+    return min(scaled, amount) if num <= den else scaled

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
-from .model import Bid, Buyer, Seller
+from .model import AuctionLedger, Bid, Buyer, Seller
 
 SOLVERS = ("exact", "greedy")
 PRICING_MODES = ("first_price", "critical_value")
-TIE_RULES = ("lowest_index",)
 ADJUSTMENT_SCOPES = ("winners_only", "all_buyers")
 # A buyer 1% down on its budget keeps 0.99**1000 < 5e-5 of its bid at
 # gamma = 1000, so larger exponents only zero bids out, while the exact
@@ -36,7 +35,6 @@ class MechanismConfig:
 
     gamma: float = 1.0
     scope: str = "winners_only"
-    tie_rule: str = "lowest_index"
     pricing: str = "first_price"
     solver: str = "exact"
 
@@ -45,8 +43,6 @@ class MechanismConfig:
             raise ValidationError("mechanism.gamma", f"must be in [0, {MAX_GAMMA}]")
         if self.scope not in ADJUSTMENT_SCOPES:
             raise ValidationError("mechanism.scope", f"must be one of {ADJUSTMENT_SCOPES}")
-        if self.tie_rule not in TIE_RULES:
-            raise ValidationError("mechanism.tie_rule", f"must be one of {TIE_RULES}")
         if self.pricing not in PRICING_MODES:
             raise ValidationError("mechanism.pricing", f"must be one of {PRICING_MODES}")
         if self.solver not in SOLVERS:
@@ -115,7 +111,8 @@ class Scenario:
     Either materialized (concrete buyers, sellers and bid matrix, with
     ``generator`` kept only as provenance) or pending generation
     (``bid_matrix`` is None and ``generator`` holds the parameters).
-    ``bid_matrix[i][l-1]`` is buyer i's bid in round l.
+    ``bid_matrix[i][l-1]`` is buyer i's bid for round l; the bids
+    themselves carry no round index.
     """
 
     buyers: tuple[Buyer, ...]
@@ -164,14 +161,12 @@ class Scenario:
                 raise ValidationError(
                     f"bids[{i}]", f"expected {self.horizon} rounds, got {len(row)}"
                 )
-            for l, bid in enumerate(row, start=1):
+            for l, bid in enumerate(row):
                 if bid.buyer_id != i:
-                    raise ValidationError(f"bids[{i}][{l - 1}]", "buyer_id mismatch")
-                if bid.round != l:
-                    raise ValidationError(f"bids[{i}][{l - 1}]", "round index mismatch")
+                    raise ValidationError(f"bids[{i}][{l}]", "buyer_id mismatch")
                 if len(bid.demand) != self.dimensions:
                     raise ValidationError(
-                        f"bids[{i}][{l - 1}].demand",
+                        f"bids[{i}][{l}].demand",
                         f"expected {self.dimensions} components, got {len(bid.demand)}",
                     )
 
@@ -185,8 +180,6 @@ class Scenario:
 
 def new_ledger(scenario: Scenario):
     """Fresh ledger for a materialized scenario: full budgets, full period capacity."""
-    from .model import AuctionLedger
-
     if not scenario.materialized:
         raise ValidationError("scenario", "cannot open a ledger before the generator runs")
     return AuctionLedger.new(scenario.buyers, scenario.sellers)

@@ -63,13 +63,13 @@ def generate_scenario(
         ask = rng.randint(*params.ask_range) * SCALE
         sellers.append(Seller(j, round_cap, period_cap, ask))
     matrix = [[] for _ in range(params.n_buyers)]
-    for l in range(1, params.horizon + 1):
+    for _ in range(params.horizon):
         for i in range(params.n_buyers):
             amount = rng.randint(*params.bid_range) * SCALE
             demand = ResourceVector(
                 tuple(rng.randint(*params.demand_range) * SCALE for _ in range(params.dimensions))
             )
-            matrix[i].append(Bid(i, l, amount, demand))
+            matrix[i].append(Bid(i, amount, demand))
     return Scenario(
         buyers=buyers,
         sellers=tuple(sellers),
@@ -91,7 +91,7 @@ def materialize(scenario: Scenario) -> Scenario:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Derived per-run statistics.
+    """Derived per-run statistics; the totals stay on the ``AuctionResult``.
 
     ``exhaustion_round`` maps each buyer to the first 1-based round
     after whose charge its remaining budget reached 0 (None = never;
@@ -99,8 +99,6 @@ class RunMetrics:
     winner-rounds over buyer-rounds.
     """
 
-    total_utility: int
-    total_revenue: int
     allocation_ratio: float
     exhaustion_round: dict[int, int | None]
 
@@ -120,7 +118,8 @@ class EvaluationResult:
     metrics: RunMetrics
 
 
-def compute_metrics(result: AuctionResult, n_buyers: int, horizon: int) -> RunMetrics:
+def compute_metrics(result: AuctionResult) -> RunMetrics:
+    """Metrics of one run; buyers come from the ledger, the horizon from the rounds."""
     remaining = dict(result.ledger.initial_budget)
     exhaustion: dict[int, int | None] = {
         i: (0 if remaining[i] == 0 else None) for i in remaining
@@ -132,9 +131,9 @@ def compute_metrics(result: AuctionResult, n_buyers: int, horizon: int) -> RunMe
             remaining[buyer_id] -= payment
             if remaining[buyer_id] == 0 and exhaustion[buyer_id] is None:
                 exhaustion[buyer_id] = outcome.round
-    buyer_rounds = n_buyers * horizon
+    buyer_rounds = len(remaining) * len(result.rounds)
     ratio = winner_rounds / buyer_rounds if buyer_rounds else 0.0
-    return RunMetrics(result.total_utility, result.total_revenue, ratio, exhaustion)
+    return RunMetrics(ratio, exhaustion)
 
 
 def evaluate(scenario: Scenario, mechanism: str) -> EvaluationResult:
@@ -145,9 +144,7 @@ def evaluate(scenario: Scenario, mechanism: str) -> EvaluationResult:
         )
     scenario = materialize(scenario)
     result = MECHANISMS[mechanism](scenario)
-    return EvaluationResult(
-        result, compute_metrics(result, len(scenario.buyers), scenario.horizon)
-    )
+    return EvaluationResult(result, compute_metrics(result))
 
 
 @dataclass(frozen=True)
@@ -265,19 +262,19 @@ def compare(
         for spec in specs:
             scenario = workload.with_mechanism(spec.config) if spec.config else workload
             evaluation = evaluate(scenario, spec.name)
-            metrics = evaluation.metrics
+            result, metrics = evaluation.result, evaluation.metrics
             records.append(
                 SeedRecord(
                     seed=seed,
                     mechanism=spec.resolved_label,
-                    revenue=metrics.total_revenue,
-                    utility=metrics.total_utility,
+                    revenue=result.total_revenue,
+                    utility=result.total_utility,
                     allocation_ratio=metrics.allocation_ratio,
                     exhausted_buyers=metrics.exhausted_buyers,
                     mean_exhaustion_round=metrics.mean_exhaustion_round,
                 )
             )
-            revenue_units[spec.resolved_label].append(metrics.total_revenue / SCALE)
+            revenue_units[spec.resolved_label].append(result.total_revenue / SCALE)
 
     stats = tuple(
         MechanismStats(
@@ -288,14 +285,12 @@ def compare(
         for label in labels
     )
 
-    resample_indices = [
-        [rng.randint(0, n_seeds - 1) for _ in range(n_seeds)]
-        for _ in range(bootstrap_resamples)
-    ]
-    resample_means = {
-        label: [sum(revenue[i] for i in idx) / n_seeds for idx in resample_indices]
-        for label, revenue in revenue_units.items()
-    }
+    # One resample's indices at a time: memory stays O(n_seeds), not O(resamples * n_seeds).
+    resample_means: dict[str, list[float]] = {label: [] for label in labels}
+    for _ in range(bootstrap_resamples):
+        idx = [rng.randint(0, n_seeds - 1) for _ in range(n_seeds)]
+        for label, revenue in revenue_units.items():
+            resample_means[label].append(sum(revenue[i] for i in idx) / n_seeds)
     pairwise = []
     for label_a in labels:
         for label_b in labels:

@@ -20,10 +20,7 @@ def table_scenario(bids, budgets, items_per_round, mechanism=None) -> Scenario:
     """Unit-demand single-seller scenario equivalent to a replay fixture."""
     unit = ResourceVector((SCALE,))
     horizon = len(bids[0])
-    matrix = tuple(
-        tuple(Bid(i, l, row[l - 1] * SCALE, unit) for l in range(1, horizon + 1))
-        for i, row in enumerate(bids)
-    )
+    matrix = tuple(tuple(Bid(i, a * SCALE, unit) for a in row) for i, row in enumerate(bids))
     return Scenario(
         buyers=tuple(Buyer(i, b * SCALE) for i, b in enumerate(budgets)),
         sellers=(Seller(0, ResourceVector((items_per_round * SCALE,))),),

@@ -34,7 +34,6 @@ def top_k_replay(bid_matrix, budgets, items_per_round: int):
                 bids={i: effective[i] for i in winners},
                 payments={i: effective[i] for i in winners},
                 demands={i: unit for i in winners},
-                utility=sum(effective[i] for i in winners),
             )
         )
     return tuple(ledger.history), ledger

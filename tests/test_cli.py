@@ -93,6 +93,14 @@ class TestSchemas:
         assert params.n_buyers == 4
         assert mechanism.solver == "greedy"
 
+    def test_tie_rule_is_accepted_only_as_lowest_index(self):
+        doc = json.loads(json.dumps(TABLE1_SCENARIO))
+        doc["mechanism"]["tie_rule"] = "lowest_index"
+        assert parse_scenario(doc) == parse_scenario(TABLE1_SCENARIO)
+        doc["mechanism"]["tie_rule"] = "random"
+        with pytest.raises(ValidationError, match=r"mechanism\.tie_rule"):
+            parse_scenario(doc)
+
     def test_kind_detection(self):
         assert detect_kind({"budgets": []}) == "fixture"
         assert detect_kind(SMALL_PARAMS) == "params"

@@ -27,13 +27,10 @@ from mdcauction.cli import main
 from mdcauction.wdp import WdpInstance, solve_exact, solve_greedy
 from wdp_oracle import brute_force_best, random_unit_instance
 
-ROUND = 1
-
-
 def round_inputs(amounts, demands, caps):
     """Bids and sellers for one round; amounts are taken as milli-units."""
     bids = [
-        Bid(i, ROUND, amount, ResourceVector(demand))
+        Bid(i, amount, ResourceVector(demand))
         for i, (amount, demand) in enumerate(zip(amounts, demands))
     ]
     sellers = tuple(Seller(j, ResourceVector(cap)) for j, cap in enumerate(caps))
@@ -43,12 +40,12 @@ def round_inputs(amounts, demands, caps):
 def clear(bids, sellers, solver):
     ledger = AuctionLedger.new([Buyer(b.buyer_id, b.amount) for b in bids], sellers)
     config = MechanismConfig(pricing="critical_value", solver=solver)
-    return run_srmra(bids, sellers, ledger, config, round_index=ROUND)
+    return run_srmra(bids, sellers, ledger, config)
 
 
 def wins_at(bids, sellers, buyer_id, amount, solve) -> bool:
     trial = tuple(
-        Bid(b.buyer_id, b.round, amount, b.demand) if b.buyer_id == buyer_id else b
+        Bid(b.buyer_id, amount, b.demand) if b.buyer_id == buyer_id else b
         for b in bids
     )
     instance = WdpInstance(trial, {s.id: s.round_capacity for s in sellers})
@@ -95,9 +92,9 @@ def test_contested_tie_goes_to_the_lower_buyer_id():
     # One slot, equal bids: buyer 0 wins the tie, so its threshold is
     # buyer 1's bid; buyer 1 would need one milli more to win.
     sellers = (Seller(0, ResourceVector((1,))),)
-    bids = [Bid(0, ROUND, 7, ResourceVector((1,))), Bid(1, ROUND, 5, ResourceVector((1,)))]
+    bids = [Bid(0, 7, ResourceVector((1,))), Bid(1, 5, ResourceVector((1,)))]
     assert clear(bids, sellers, "exact").payments == {0: 5}
-    bids = [Bid(0, ROUND, 5, ResourceVector((1,))), Bid(1, ROUND, 7, ResourceVector((1,)))]
+    bids = [Bid(0, 5, ResourceVector((1,))), Bid(1, 7, ResourceVector((1,)))]
     assert clear(bids, sellers, "exact").payments == {1: 6}
 
 
@@ -147,10 +144,10 @@ def test_greedy_tie_at_the_blocking_bid():
     sellers = (Seller(0, ResourceVector((3,))),)
     small, large = ResourceVector((1,)), ResourceVector((3,))
     cases = [
-        ([Bid(0, ROUND, 10, small), Bid(1, ROUND, 9, large)], {0: 6}),
-        ([Bid(0, ROUND, 9, large), Bid(1, ROUND, 10, small)], {1: 7}),
-        ([Bid(0, ROUND, 11, small), Bid(1, ROUND, 10, large)], {0: 7}),
-        ([Bid(0, ROUND, 10, large), Bid(1, ROUND, 11, small)], {1: 7}),
+        ([Bid(0, 10, small), Bid(1, 9, large)], {0: 6}),
+        ([Bid(0, 9, large), Bid(1, 10, small)], {1: 7}),
+        ([Bid(0, 11, small), Bid(1, 10, large)], {0: 7}),
+        ([Bid(0, 10, large), Bid(1, 11, small)], {1: 7}),
     ]
     for bids, payments in cases:
         assert clear(bids, sellers, "greedy").payments == payments
@@ -160,7 +157,7 @@ def test_greedy_tie_at_the_blocking_bid():
 
 def test_greedy_winner_that_always_fits_pays_one():
     sellers = (Seller(0, ResourceVector((1,))), Seller(1, ResourceVector((1,))))
-    bids = [Bid(0, ROUND, 5, ResourceVector((1,))), Bid(1, ROUND, 9, ResourceVector((1,)))]
+    bids = [Bid(0, 5, ResourceVector((1,))), Bid(1, 9, ResourceVector((1,)))]
     assert clear(bids, sellers, "greedy").payments == {0: 1, 1: 1}
 
 

@@ -1,0 +1,59 @@
+"""Golden outputs: the CLI's bytes for a few small runs, recorded in ``tests/golden/``.
+
+Every run is written with ``--no-header`` so no timestamp enters the
+files.  A refactor that claims unchanged behaviour must leave each of
+these byte for byte as recorded.  ``gen`` output is not pinned: it
+echoes the mechanism block, whose fields may change without any run
+changing.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from mdcauction.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Critical-value pricing on the default profile (the benchmark's cv-default params).
+CV_PARAMS = {
+    "n_buyers": 10,
+    "m_sellers": 1,
+    "horizon": 20,
+    "dimensions": 3,
+    "demand_range": [1, 5],
+    "bid_range": [1, 20],
+    "budget_range": [50, 200],
+    "capacity_range": [10, 30],
+    "ask_range": [1, 10],
+    "seed": 101,
+    "mechanism": {"pricing": "critical_value"},
+}
+
+# name -> (argv, file the run writes); stdout is kept as <name>.txt.
+CASES = {
+    "compare_default": (
+        ["compare", "default", "--seeds", "5",
+         "--mechanisms", "mafl,repeated_srmra,double_auction", "--out", "out.csv"],
+        "out.csv",
+    ),
+    "compare_users40": (["compare", "users40", "--seeds", "2", "--out", "out.csv"], "out.csv"),
+    "compare_cv": (["compare", "cv-default.json", "--seeds", "3", "--out", "out.csv"], "out.csv"),
+    "replay_table2": (["replay", "table2", "--baseline", "table1", "--out", "out.csv"], "out.csv"),
+    "run_mafl": (["run", "scenario.json", "--mechanism", "mafl", "--out", "out.csv"], "out.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cv-default.json").write_text(json.dumps(CV_PARAMS))
+    assert main(["gen", "default", "--materialize", "--out", "scenario.json"]) == 0
+    argv, written = CASES[name]
+    capsys.readouterr()
+    assert main(argv + ["--no-header"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    csv = (tmp_path / written).read_text(encoding="utf-8")
+    assert csv == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")

@@ -35,8 +35,8 @@ from helpers import (
 from replay_oracle import top_k_replay
 
 
-def unit_bid(buyer_id, round_index, amount_units):
-    return Bid(buyer_id, round_index, amount_units * 1000, ResourceVector((1000,)))
+def unit_bid(buyer_id, amount_units):
+    return Bid(buyer_id, amount_units * 1000, ResourceVector((1000,)))
 
 
 class TestAdjustBid:
@@ -70,6 +70,10 @@ class TestAdjustBid:
         config = MechanismConfig(gamma=0.0)
         assert adjust_bid(9000, 2000, 9000, config, won_previous=True) == 2000
 
+    def test_fractional_gamma_never_raises_the_true_bid(self):
+        config = MechanismConfig(gamma=0.5)
+        assert adjust_bid(2**54 - 1, 10**17, 10**17, config, won_previous=True) == 2**54 - 1
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(0, 50000),
@@ -92,7 +96,7 @@ class TestRunSrmra:
 
     def test_two_highest_unit_bids_win(self):
         _, sellers, ledger = self.make_ledger()
-        bids = [unit_bid(0, 1, 3), unit_bid(1, 1, 4), unit_bid(2, 1, 5)]
+        bids = [unit_bid(0, 3), unit_bid(1, 4), unit_bid(2, 5)]
         outcome = run_srmra(bids, sellers, ledger)
         assert outcome.winners.buyers() == {1, 2}
         assert outcome.payments == {1: 4000, 2: 5000}
@@ -101,11 +105,18 @@ class TestRunSrmra:
 
     def test_zero_bids_cannot_win(self):
         _, sellers, ledger = self.make_ledger()
-        bids = [unit_bid(0, 1, 3), unit_bid(1, 1, 0), unit_bid(2, 1, 0)]
+        bids = [unit_bid(0, 3), unit_bid(1, 0), unit_bid(2, 0)]
         outcome = run_srmra(bids, sellers, ledger)
         assert outcome.winners.buyers() == {0}
         assert outcome.payments == {0: 3000}
         assert outcome.utility == 3000
+
+    def test_rounds_are_numbered_by_the_ledger(self):
+        _, sellers, ledger = self.make_ledger()
+        first = run_srmra([unit_bid(0, 3)], sellers, ledger)
+        second = run_srmra([], sellers, ledger)
+        assert (first.round, second.round) == (1, 2)
+        assert ledger.history == [first, second]
 
     def test_no_bids_is_an_empty_round(self):
         _, sellers, ledger = self.make_ledger()
@@ -115,21 +126,21 @@ class TestRunSrmra:
 
     def test_dimension_mismatch_rejected(self):
         _, sellers, ledger = self.make_ledger()
-        bad = Bid(0, 1, 1000, ResourceVector((1000, 1000)))
+        bad = Bid(0, 1000, ResourceVector((1000, 1000)))
         with pytest.raises(ValidationError, match="demand"):
             run_srmra([bad], sellers, ledger)
 
     def test_unclamped_bid_rejected(self):
         _, sellers, ledger = self.make_ledger()
         with pytest.raises(ValidationError, match="remaining budget"):
-            run_srmra([unit_bid(1, 1, 99)], sellers, ledger)
+            run_srmra([unit_bid(1, 99)], sellers, ledger)
 
     def test_critical_value_pricing_charges_the_threshold(self):
         _, sellers, ledger = self.make_ledger()
         config = MechanismConfig(pricing="critical_value")
         one_slot = (Seller(0, ResourceVector((1000,))),)
         ledger = AuctionLedger.new([Buyer(0, 15000), Buyer(1, 9000)], one_slot)
-        outcome = run_srmra([unit_bid(0, 1, 5), unit_bid(1, 1, 3)], one_slot, ledger, config)
+        outcome = run_srmra([unit_bid(0, 5), unit_bid(1, 3)], one_slot, ledger, config)
         assert outcome.winners.buyers() == {0}
         assert outcome.bids == {0: 5000}
         # lowest-index tie preference makes the runner-up bid the threshold
@@ -245,7 +256,7 @@ class TestMafl:
         result = run_mafl(scenario)
         ledger = new_ledger(scenario)
         bids = [
-            Bid(b.id, 1, min(scenario.bid_matrix[b.id][0].amount, b.budget),
+            Bid(b.id, min(scenario.bid_matrix[b.id][0].amount, b.budget),
                 scenario.bid_matrix[b.id][0].demand)
             for b in scenario.buyers
         ]
@@ -255,7 +266,7 @@ class TestMafl:
     def test_previous_winners_get_punished(self):
         # one buyer, loose capacity: wins every round, so round 2 is adjusted
         unit = ResourceVector((1000,))
-        matrix = ((Bid(0, 1, 4000, unit), Bid(0, 2, 4000, unit)),)
+        matrix = ((Bid(0, 4000, unit), Bid(0, 4000, unit)),)
         scenario = Scenario(
             buyers=(Buyer(0, 9000),),
             sellers=(Seller(0, ResourceVector((5000,))),),
@@ -274,8 +285,8 @@ class TestMafl:
         # buyer 0 wins round 1, loses round 2, returns unadjusted in round 3
         unit = ResourceVector((1000,))
         matrix = (
-            (Bid(0, 1, 5000, unit), Bid(0, 2, 1000, unit), Bid(0, 3, 5000, unit)),
-            (Bid(1, 1, 1000, unit), Bid(1, 2, 9000, unit), Bid(1, 3, 1000, unit)),
+            (Bid(0, 5000, unit), Bid(0, 1000, unit), Bid(0, 5000, unit)),
+            (Bid(1, 1000, unit), Bid(1, 9000, unit), Bid(1, 1000, unit)),
         )
         scenario = Scenario(
             buyers=(Buyer(0, 50000), Buyer(1, 50000)),
@@ -307,7 +318,7 @@ class TestDoubleAuction:
     def scenario_with_asks(self, bids, asks, budgets=None, capacity=1):
         unit = ResourceVector((1000,))
         budgets = budgets or [100] * len(bids)
-        matrix = tuple((Bid(i, 1, b * 1000, unit),) for i, b in enumerate(bids))
+        matrix = tuple((Bid(i, b * 1000, unit),) for i, b in enumerate(bids))
         sellers = tuple(
             Seller(j, ResourceVector((capacity * 1000,)), None, a * 1000)
             for j, a in enumerate(asks)
@@ -323,7 +334,7 @@ class TestDoubleAuction:
     def test_greedy_match_at_midpoint(self):
         result = run_double_auction(self.scenario_with_asks([5, 3], [2, 4]))
         outcome = result.rounds[0]
-        assert outcome.winners.to_dict() == {0: 0}
+        assert dict(outcome.winners) == {0: 0}
         assert outcome.payments == {0: 3500}
         assert outcome.utility == 5000
         assert result.total_revenue == 3500
@@ -345,7 +356,7 @@ class TestDoubleAuction:
     def test_ask_scales_with_normalized_demand(self):
         # demand 2 of capacity 4 in one dimension: half a normalized unit
         demand = ResourceVector((2000,))
-        matrix = ((Bid(0, 1, 5000, demand),),)
+        matrix = ((Bid(0, 5000, demand),),)
         scenario = Scenario(
             buyers=(Buyer(0, 100000),),
             sellers=(Seller(0, ResourceVector((4000,)), None, 6000),),

@@ -25,7 +25,6 @@ def outcome(round_index, pairs, payments, demands):
         bids=dict(payments),
         payments=dict(payments),
         demands=dict(demands),
-        utility=sum(payments.values()),
     )
 
 
@@ -62,13 +61,15 @@ class TestAssignment:
 
 
 class TestRoundOutcome:
-    def test_utility_must_equal_sum_of_winning_bids(self):
-        with pytest.raises(InvariantViolation, match="utility"):
-            RoundOutcome(1, Assignment(((0, 0),)), {0: 5000}, {0: 5000}, {0: rv(1)}, 4000)
+    def test_utility_is_the_sum_of_winning_bids(self):
+        winners = Assignment(((0, 0), (1, 0)))
+        demands = {0: rv(1), 1: rv(1)}
+        outcome = RoundOutcome(1, winners, {0: 5000, 1: 3000}, {0: 4000, 1: 3000}, demands)
+        assert (outcome.utility, outcome.revenue) == (8000, 7000)
 
     def test_payments_only_to_winners(self):
         with pytest.raises(InvariantViolation, match="non-winner"):
-            RoundOutcome(1, Assignment(((0, 0),)), {0: 5000}, {1: 1}, {0: rv(1)}, 5000)
+            RoundOutcome(1, Assignment(((0, 0),)), {0: 5000}, {1: 1}, {0: rv(1)})
 
 
 class TestLedger:
@@ -102,7 +103,7 @@ class TestLedger:
 
     def test_charge_empty_outcome_is_identity(self):
         ledger = AuctionLedger.new([Buyer(0, 15000)], [Seller(0, rv(2))])
-        ledger.charge(RoundOutcome.empty(1))
+        ledger.charge(RoundOutcome(1, Assignment(()), {}, {}, {}))
         assert ledger.remaining_budget == {0: 15000}
 
     def test_overdraft_is_an_invariant_violation(self):
@@ -149,8 +150,8 @@ class TestScenarioValidation:
         from mdcauction import Bid, Scenario
 
         unit = ResourceVector((1000,))
-        short_row = (Bid(1, 1, 3000, unit),)
-        full_row = (Bid(0, 1, 1000, unit), Bid(0, 2, 2000, unit))
+        short_row = (Bid(1, 3000, unit),)
+        full_row = (Bid(0, 1000, unit), Bid(0, 2000, unit))
         with pytest.raises(ValidationError, match="bids"):
             Scenario(
                 buyers=(Buyer(0, 5000), Buyer(1, 5000)),

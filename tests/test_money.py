@@ -5,9 +5,11 @@ import sys
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdcauction import ValidationError, format_milli, to_milli
 from mdcauction.money import scale_by_ratio_pow
+from mdcauction.scenario import MAX_GAMMA
 
 
 def test_whole_units_scale_to_milli():
@@ -85,3 +87,20 @@ def test_huge_whole_exponent_returns_promptly():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "20000", "0", "0"]
+
+
+def test_fractional_exponent_never_exceeds_the_amount():
+    # float(2**54 - 1) rounds up to 2**54, so the float path overshot by one
+    assert scale_by_ratio_pow(2**54 - 1, 10**17, 10**17, 0.5) == 2**54 - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**70),
+    st.integers(1, 2**70),
+    st.floats(0, MAX_GAMMA, exclude_min=True).filter(lambda g: g != int(g)),
+    st.data(),
+)
+def test_fractional_exponent_result_is_at_most_the_amount(amount, den, gamma, data):
+    num = data.draw(st.integers(0, den))
+    assert 0 <= scale_by_ratio_pow(amount, num, den, gamma) <= amount

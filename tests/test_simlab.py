@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from mdcauction import (
@@ -37,7 +41,7 @@ class TestGenerator:
         scenario = generate_scenario(params)
         for mechanism in ("mafl", "repeated_srmra", "double_auction"):
             evaluation = evaluate(scenario, mechanism)
-            assert evaluation.metrics.total_revenue == 0
+            assert evaluation.result.total_revenue == 0
             assert evaluation.metrics.allocation_ratio == 0.0
 
     def test_draws_respect_ranges_and_units(self):
@@ -95,7 +99,7 @@ class TestMetrics:
         # replayed ledger arithmetic: u1 spends 5+4+3+2+1, u2 4+2+2+1,
         # u3 5+3+2, so budgets 15/9/10 hit zero at rounds 6, 6 and 5
         result = replay(TABLE2_BIDS, TABLE_BUDGETS, TABLE_ITEMS)
-        metrics = compute_metrics(result, 3, 6)
+        metrics = compute_metrics(result)
         assert metrics.exhaustion_round == {0: 6, 1: 6, 2: 5}
 
     def test_allocation_ratio(self):
@@ -143,8 +147,8 @@ class TestCompare:
         for record in report.records:
             scenario = generate_scenario(replace(self.params, seed=record.seed))
             evaluation = evaluate(scenario, "repeated_srmra")
-            assert record.revenue == evaluation.metrics.total_revenue
-            assert record.utility == evaluation.metrics.total_utility
+            assert record.revenue == evaluation.result.total_revenue
+            assert record.utility == evaluation.result.total_utility
 
     def test_mean_and_median_revenue(self):
         report = compare(self.params, ["repeated_srmra"], n_seeds=7, bootstrap_resamples=10)
@@ -159,3 +163,22 @@ class TestCompare:
             compare(self.params, ["nope"], n_seeds=1)
         with pytest.raises(ValidationError, match="duplicate"):
             compare(self.params, ["mafl", "mafl"], n_seeds=1)
+
+    def test_bootstrap_memory_does_not_grow_with_resamples_times_seeds(self):
+        # 1000 resamples x 1000 seeds: holding every resample's indices at
+        # once grew the peak RSS by about 30 MiB; one at a time stays flat.
+        code = (
+            "import resource\n"
+            "from mdcauction import GeneratorParams, compare\n"
+            "params = GeneratorParams(n_buyers=2, m_sellers=1, horizon=1, seed=5)\n"
+            "compare(params, ['mafl', 'repeated_srmra'], n_seeds=10)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "compare(params, ['mafl', 'repeated_srmra'], n_seeds=1000)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 10 * 1024  # ru_maxrss is in KiB

@@ -25,7 +25,7 @@ from wdp_oracle import (
 def make_instance(amounts, demands, caps):
     """Whole-unit shorthand: amounts, per-buyer demand tuples, per-seller cap tuples."""
     bids = tuple(
-        Bid(i, 1, a * 1000, ResourceVector(tuple(q * 1000 for q in d)))
+        Bid(i, a * 1000, ResourceVector(tuple(q * 1000 for q in d)))
         for i, (a, d) in enumerate(zip(amounts, demands))
     )
     seller_caps = {
@@ -57,9 +57,9 @@ class TestSolveExact:
 
     def test_tie_prefers_lowest_buyer_then_seller(self):
         instance = make_instance([5, 5], [(1,), (1,)], [(1,)])
-        assert solve_exact(instance).assignment.to_dict() == {0: 0}
+        assert dict(solve_exact(instance).assignment) == {0: 0}
         two_sellers = make_instance([5], [(1,)], [(1,), (1,)])
-        assert solve_exact(two_sellers).assignment.to_dict() == {0: 0}
+        assert dict(solve_exact(two_sellers).assignment) == {0: 0}
 
     def test_search_budget_carries_incumbent(self):
         instance = make_instance([1] * 8, [(1,)] * 8, [(8,)])
@@ -92,38 +92,38 @@ class TestPackedFit:
     CAP = (7, 2**64, 0)
 
     def solve(self, first, second):
-        bids = (Bid(0, 1, 1, ResourceVector(first)), Bid(1, 1, 1, ResourceVector(second)))
+        bids = (Bid(0, 1, ResourceVector(first)), Bid(1, 1, ResourceVector(second)))
         return solve_exact(WdpInstance(bids, {0: ResourceVector(self.CAP)}))
 
     @pytest.mark.parametrize("k", range(3))
     def test_demand_equal_to_the_residual_fits_and_one_more_does_not(self, k):
         first = (3, 2**63, 0)
         rest = tuple(c - f for c, f in zip(self.CAP, first))
-        assert self.solve(first, rest).assignment.to_dict() == {0: 0, 1: 0}
+        assert dict(self.solve(first, rest).assignment) == {0: 0, 1: 0}
         over = tuple(q + (i == k) for i, q in enumerate(rest))
-        assert self.solve(first, over).assignment.to_dict() == {0: 0}
+        assert dict(self.solve(first, over).assignment) == {0: 0}
 
     @pytest.mark.parametrize("k", range(2))
     def test_one_more_than_the_capacity_widens_the_field_and_does_not_fit(self, k):
         cap = (2**64 - 1, 5)
         over = tuple(q + (i == k) for i, q in enumerate(cap))
-        instance = WdpInstance((Bid(0, 1, 1, ResourceVector(cap)),), {0: ResourceVector(cap)})
-        assert solve_exact(instance).assignment.to_dict() == {0: 0}
-        instance = WdpInstance((Bid(0, 1, 1, ResourceVector(over)),), {0: ResourceVector(cap)})
+        instance = WdpInstance((Bid(0, 1, ResourceVector(cap)),), {0: ResourceVector(cap)})
+        assert dict(solve_exact(instance).assignment) == {0: 0}
+        instance = WdpInstance((Bid(0, 1, ResourceVector(over)),), {0: ResourceVector(cap)})
         assert not solve_exact(instance).assignment
 
     def test_all_zero_instance_assigns_everyone_to_the_lowest_seller(self):
         zero = ResourceVector((0, 0))
-        bids = tuple(Bid(i, 1, 1, zero) for i in range(3))
+        bids = tuple(Bid(i, 1, zero) for i in range(3))
         solution = solve_exact(WdpInstance(bids, {4: zero, 2: zero}))
         assert solution.optimal
-        assert solution.assignment.to_dict() == {0: 2, 1: 2, 2: 2}
+        assert dict(solution.assignment) == {0: 2, 1: 2, 2: 2}
 
     def test_dimension_zero_always_fits(self):
         empty = ResourceVector(())
-        bids = tuple(Bid(i, 1, 1 + i, empty) for i in range(3))
+        bids = tuple(Bid(i, 1 + i, empty) for i in range(3))
         solution = solve_exact(WdpInstance(bids, {3: empty, 1: empty}))
-        assert solution.assignment.to_dict() == {0: 1, 1: 1, 2: 1}
+        assert dict(solution.assignment) == {0: 1, 1: 1, 2: 1}
         assert solution.objective == 6
         assert not solve_exact(WdpInstance(bids, {})).assignment
 
@@ -172,7 +172,7 @@ class TestCheckFeasible:
     def test_duplicate_bid_rejected(self):
         with pytest.raises(ValidationError, match="twice"):
             WdpInstance(
-                (Bid(0, 1, 1000, ResourceVector((1000,))), Bid(0, 1, 2000, ResourceVector((1000,)))),
+                (Bid(0, 1000, ResourceVector((1000,))), Bid(0, 2000, ResourceVector((1000,)))),
                 {0: ResourceVector((2000,))},
             )
 
@@ -251,10 +251,10 @@ def greedy_instances(draw):
     for i in range(n):
         if bids and draw(st.booleans()):
             twin = draw(st.sampled_from(bids))
-            bids.append(Bid(i, 1, twin.amount, twin.demand))
+            bids.append(Bid(i, twin.amount, twin.demand))
             continue
         demand = tuple(draw(st.integers(0, 5)) for _ in range(d))
-        bids.append(Bid(i, 1, draw(amount), ResourceVector(demand)))
+        bids.append(Bid(i, draw(amount), ResourceVector(demand)))
     caps = {
         2 * j + 1: ResourceVector(tuple(draw(st.integers(0, 10)) for _ in range(d)))
         for j in range(m)
@@ -285,7 +285,7 @@ def exact_instances(draw):
     component = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 2**64))
     amount = st.one_of(st.integers(0, 20), st.integers(0, 10**12))
     bids = [
-        Bid(i, 1, draw(amount), ResourceVector(tuple(draw(component) for _ in range(d))))
+        Bid(i, draw(amount), ResourceVector(tuple(draw(component) for _ in range(d))))
         for i in range(n)
     ]
     caps = {
@@ -296,7 +296,7 @@ def exact_instances(draw):
         k = draw(st.integers(0, d - 1))
         units = [0] * d
         units[k] = max((cap.units[k] for cap in caps.values()), default=0) + draw(st.integers(1, 9))
-        bids[i] = Bid(i, 1, bids[i].amount, ResourceVector(tuple(units)))
+        bids[i] = Bid(i, bids[i].amount, ResourceVector(tuple(units)))
     return WdpInstance(tuple(bids), caps)
 
 
