@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .model import Assignment, AuctionLedger, Bid, Buyer, ResourceVector, RoundOutcome, Seller
 from .money import SCALE, scale_by_ratio_pow, to_milli
 from .scenario import MechanismConfig, Scenario, new_ledger
-from .wdp import WdpInstance, greedy_threshold, solve_exact, solve_greedy
+from .wdp import WdpInstance, WdpSolution, greedy_threshold, solve_exact, solve_greedy
 
 
 @dataclass(frozen=True)
@@ -70,30 +70,22 @@ def adjust_bid(
     return min(adjusted, remaining)
 
 
-def _wins_at(instance: WdpInstance, winner_id: int, amount: int, solve) -> bool:
-    """Whether the buyer wins the round when its own bid is ``amount``."""
-    trial = WdpInstance(
-        tuple(
-            Bid(b.buyer_id, amount, b.demand) if b.buyer_id == winner_id else b
-            for b in instance.bids
-        ),
-        instance.seller_caps,
-    )
-    return winner_id in solve(trial).assignment.buyers()
-
-
-def _critical_payment(instance: WdpInstance, winner_id: int, solve, optimum: int | None) -> int:
+def _critical_payment(instance: WdpInstance, winner_id: int, solution: WdpSolution) -> int:
     """Smallest own bid in [1, b_i] (milli granularity) at which the buyer still wins.
 
-    With an optimal solver (``optimum`` is the round's optimal
-    objective) the threshold has a closed form.  The WDP maximizes the
-    sum of bids and bidders are single-minded, so with own bid x the
-    best allocation containing i is worth OPT - b_i + x and the best one
-    without i is worth OPT(without i); i wins for x above
+    ``solution`` is the round's.  When ``solve_exact`` proved it optimal
+    the threshold has a closed form.  The WDP maximizes the sum of bids
+    and bidders are single-minded, so with own bid x the best allocation
+    containing i is worth OPT - b_i + x and the best one without i is
+    worth OPT(without i); i wins for x above
     t = OPT(without i) - (OPT - b_i) and loses below it (Archer & Tardos
-    2001, one-parameter agents).  At x = t the two optima tie and the
-    solver's search-order tie-break decides, so one confirming solve at
-    t tells t from t + 1.  That is at most two solves per winner.
+    2001, one-parameter agents).  At x = t the two tie, and
+    ``solve_exact`` returns the optimum its search reaches first: the
+    least key, listing each buyer's seller id in buyer id order with
+    unassigned last.  For t < b_i the optima containing i are the
+    round's, the first being ``solution``, and the first without i is
+    the solve without i.  So i wins at t iff ``solution`` has the lesser
+    key: one solve per winner.
 
     A heuristic solver's objective is not OPT; greedy's threshold comes
     from one greedy pass without i instead (see ``greedy_threshold``).
@@ -102,14 +94,18 @@ def _critical_payment(instance: WdpInstance, winner_id: int, solve, optimum: int
         tuple(b for b in instance.bids if b.buyer_id != winner_id), instance.seller_caps
     )
     own = next(b for b in instance.bids if b.buyer_id == winner_id)
-    if optimum is None:
+    if not solution.optimal:
         return greedy_threshold(others, own)
-    threshold = solve(others).objective - (optimum - own.amount)
+    without = solve_exact(others)
+    threshold = without.objective - (solution.objective - own.amount)
     if threshold < 1:
         return 1
     if threshold >= own.amount:
         return own.amount
-    return threshold if _wins_at(instance, winner_id, threshold, solve) else threshold + 1
+    order = sorted(b.buyer_id for b in instance.bids)
+    mine, theirs = dict(solution.assignment), dict(without.assignment)
+    first = [mine.get(b, math.inf) for b in order] < [theirs.get(b, math.inf) for b in order]
+    return threshold if first else threshold + 1
 
 
 def run_srmra(
@@ -147,10 +143,7 @@ def run_srmra(
     if config.pricing == "first_price":
         payments = dict(winning_bids)
     else:
-        optimum = solution.objective if solution.optimal else None
-        payments = {
-            buyer: _critical_payment(instance, buyer, solve, optimum) for buyer in winning_bids
-        }
+        payments = {buyer: _critical_payment(instance, buyer, solution) for buyer in winning_bids}
     outcome = RoundOutcome(
         round=len(ledger.history) + 1,
         winners=solution.assignment,

@@ -3,14 +3,17 @@
 The reference in this file re-solves the round once per trial bid and
 searches for the smallest own bid in [1, b_i] at which the buyer still
 wins, which is the definition of the critical value.  The production
-code derives the exact solver's payment from two solves instead, and
-the greedy heuristic's from one greedy pass without the winner.
+code derives the exact solver's payment from one solve without the
+winner, settling the tie at the threshold by the exact search's order,
+and the greedy heuristic's from one greedy pass without the winner.
 """
 
 import json
 import random
 import time
 from pathlib import Path
+
+import pytest
 
 import mdcauction
 
@@ -20,7 +23,9 @@ from mdcauction import (
     Buyer,
     MechanismConfig,
     ResourceVector,
+    SearchBudgetExceeded,
     Seller,
+    mechanisms,
     run_srmra,
 )
 from mdcauction.cli import main
@@ -96,6 +101,106 @@ def test_contested_tie_goes_to_the_lower_buyer_id():
     assert clear(bids, sellers, "exact").payments == {0: 5}
     bids = [Bid(0, 5, ResourceVector((1,))), Bid(1, 7, ResourceVector((1,)))]
     assert clear(bids, sellers, "exact").payments == {1: 6}
+
+
+def test_exact_pricing_solves_once_per_winner(monkeypatch):
+    calls = 0
+
+    def counting(instance):
+        nonlocal calls
+        calls += 1
+        return solve_exact(instance)
+
+    monkeypatch.setattr(mechanisms, "solve_exact", counting)
+    winners = inside = 0
+    for seed in range(150):
+        amounts, demands, caps = random_unit_instance(seed)
+        bids, sellers = round_inputs(amounts, demands, caps)
+        calls = 0
+        outcome = clear(bids, sellers, "exact")
+        assert calls == 1 + len(outcome.payments), seed
+        winners += len(outcome.payments)
+        inside += sum(1 < p < amounts[b] for b, p in outcome.payments.items())
+    assert winners > 200
+    # Thresholds strictly inside (1, b_i) are where a tie has to be settled.
+    assert inside > 50
+
+
+@pytest.mark.parametrize(
+    "winner_demand, other_demand, round_pairs, without_pairs, payment",
+    [
+        # The winner needs seller 0's two units and pushes buyer 0 to seller 1;
+        # without it buyer 0 keeps seller 0, which comes first: pay t + 1.
+        (2, 1, {0: 1, 1: 0}, {0: 0, 2: 0}, 4),
+        # Buyer 2 needs seller 0's two units and pushes buyer 0 to seller 1;
+        # with the winner buyer 0 keeps seller 0, which comes first: pay t.
+        (1, 2, {0: 0, 1: 0}, {0: 1, 2: 0}, 3),
+    ],
+)
+def test_tie_at_the_threshold_settled_by_an_earlier_buyers_seller(
+    winner_demand, other_demand, round_pairs, without_pairs, payment
+):
+    # Buyer 1 wins; t = OPT(without 1) - (OPT - b_1) = 8 - (11 - 6) = 3.
+    # At x = t the round's solution and the solution without buyer 1 tie,
+    # and their search keys first differ at buyer 0, assigned to a
+    # different seller in each.
+    sellers = (Seller(0, ResourceVector((2,))), Seller(1, ResourceVector((1,))))
+    bids = [
+        Bid(0, 5, ResourceVector((1,))),
+        Bid(1, 6, ResourceVector((winner_demand,))),
+        Bid(2, 3, ResourceVector((other_demand,))),
+    ]
+    caps = {s.id: s.round_capacity for s in sellers}
+    others = WdpInstance(tuple(b for b in bids if b.buyer_id != 1), caps)
+    assert dict(solve_exact(others).assignment) == without_pairs
+    outcome = clear(bids, sellers, "exact")
+    assert dict(outcome.winners) == round_pairs
+    assert outcome.payments[1] == payment
+    for buyer_id, paid in outcome.payments.items():
+        assert paid == bisect_payment(bids, sellers, buyer_id, solve_exact)
+
+
+def exhaust_on_call(monkeypatch, call):
+    """Let the ``call``-th exact solve run out of nodes; return the instances solved."""
+    seen = []
+
+    def solve(instance):
+        seen.append(instance)
+        return solve_exact(instance, node_budget=1) if len(seen) == call else solve_exact(instance)
+
+    monkeypatch.setattr(mechanisms, "solve_exact", solve)
+    return seen
+
+
+# Call 1 is the round's solve, call 2 the solve without its first winner.
+@pytest.mark.parametrize("call", [1, 2])
+def test_exhausted_search_aborts_the_round_uncharged(monkeypatch, call):
+    sellers = (Seller(0, ResourceVector((2,))), Seller(1, ResourceVector((1,))))
+    bids = [Bid(0, 5, ResourceVector((1,))), Bid(1, 6, ResourceVector((1,)))]
+    ledger = AuctionLedger.new([Buyer(b.buyer_id, b.amount) for b in bids], sellers)
+    seen = exhaust_on_call(monkeypatch, call)
+    with pytest.raises(SearchBudgetExceeded):
+        run_srmra(bids, sellers, ledger, MechanismConfig(pricing="critical_value"))
+    assert len(seen) == call
+    assert [len(instance.bids) for instance in seen] == [2, 1][:call]
+    assert ledger.history == []
+
+
+@pytest.mark.parametrize("call", [1, 2])
+def test_exhausted_search_exits_3(monkeypatch, tmp_path, capsys, call):
+    params = json.loads(
+        (Path(mdcauction.__file__).parent / "data" / "profiles" / "default.json").read_text()
+    )
+    params["mechanism"] = {"pricing": "critical_value"}
+    path = tmp_path / "cv.json"
+    path.write_text(json.dumps(params))
+    seen = exhaust_on_call(monkeypatch, call)
+    assert main(["compare", str(path), "--seeds", "1", "--out", str(tmp_path / "cv.csv")]) == 3
+    assert len(seen) == call
+    if call == 2:
+        assert len(seen[1].bids) == len(seen[0].bids) - 1
+    err = capsys.readouterr().err
+    assert err == "error: run aborted: exact solver search budget exceeded (1 nodes)\n"
 
 
 def test_greedy_payment_is_its_own_threshold():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -5,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from mdcauction import (
     Bid,
+    GeneratorParams,
     ResourceVector,
     SearchBudgetExceeded,
     ValidationError,
     WdpInstance,
+    generate_scenario,
     solve_exact,
     solve_greedy,
 )
@@ -320,3 +324,71 @@ def test_exact_matches_the_list_oracle(instance, node_budget):
     assert solution.assignment.pairs == expected.assignment.pairs
     assert solution.objective == expected.objective
     assert solution.optimal == expected.optimal
+
+
+@pytest.mark.parametrize(
+    "buyers, sellers, seed",
+    [(12, 1, 1), (12, 1, 2), (15, 2, 3), (15, 2, 4), (15, 2, 10), (20, 2, 2), (20, 2, 12)],
+)
+def test_exact_matches_the_list_oracle_past_ten_buyers(buyers, sellers, seed):
+    # Round 1 of a generated scenario on the default generator ranges; most
+    # 20 x 2 seeds need more nodes than a quick test allows, these two do not.
+    scenario = generate_scenario(
+        GeneratorParams(n_buyers=buyers, m_sellers=sellers, horizon=1, seed=seed)
+    )
+    instance = WdpInstance(
+        tuple(row[0] for row in scenario.bid_matrix),
+        {s.id: s.round_capacity for s in scenario.sellers},
+    )
+    solution = solve_exact(instance, node_budget=2_000_000)
+    expected = list_exact(instance, node_budget=2_000_000)
+    assert solution.optimal and expected.optimal
+    assert solution.assignment.pairs == expected.assignment.pairs
+    assert solution.objective == expected.objective
+
+
+def least_key_optimum(instance):
+    """Brute force: (the optimal assignment with the least search key, number of optima).
+
+    Every buyer-to-(seller or unassigned) mapping is enumerated and
+    checked.  The search key lists each buyer's seller id in buyer id
+    order, with infinity for unassigned.
+    """
+    buyers = sorted(b.buyer_id for b in instance.bids)
+    amount_of = {b.buyer_id: b.amount for b in instance.bids}
+    options = sorted(instance.seller_caps) + [None]
+    best_value = -1
+    optima = []
+    for choice in itertools.product(options, repeat=len(buyers)):
+        pairs = tuple((b, s) for b, s in zip(buyers, choice) if s is not None)
+        if not check_feasible(Assignment(pairs), instance):
+            continue
+        value = sum(amount_of[b] for b, _ in pairs)
+        if value > best_value:
+            best_value, optima = value, []
+        if value == best_value:
+            optima.append(([math.inf if s is None else s for s in choice], pairs))
+    return min(optima)[1], len(optima)
+
+
+def test_exact_returns_the_optimum_first_in_search_order():
+    # Critical-value pricing settles the tie at the threshold by this order.
+    rng = random.Random(9)
+    tied = 0
+    for _ in range(300):
+        d = rng.randint(0, 2)
+        buyer_ids = rng.sample(range(12), rng.randint(0, 6))
+        bids = tuple(
+            Bid(b, rng.randint(1, 4), ResourceVector(tuple(rng.randint(0, 3) for _ in range(d))))
+            for b in buyer_ids
+        )
+        caps = {
+            s: ResourceVector(tuple(rng.randint(0, 4) for _ in range(d)))
+            for s in rng.sample(range(10), rng.randint(0, 3))
+        }
+        instance = WdpInstance(bids, caps)
+        pairs, optima = least_key_optimum(instance)
+        solution = solve_exact(instance)
+        assert dict(solution.assignment) == dict(pairs), instance
+        tied += optima > 1
+    assert tied > 0
