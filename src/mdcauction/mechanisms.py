@@ -23,7 +23,14 @@ from .errors import ValidationError
 from .model import Assignment, AuctionLedger, Bid, Buyer, ResourceVector, RoundOutcome, Seller
 from .money import SCALE, scale_by_ratio_pow, to_milli
 from .scenario import MechanismConfig, Scenario, new_ledger
-from .wdp import WdpInstance, WdpSolution, greedy_threshold, solve_exact, solve_greedy
+from .wdp import (
+    WdpInstance,
+    WdpSolution,
+    greedy_threshold,
+    solve_exact,
+    solve_exact_without,
+    solve_greedy,
+)
 
 
 @dataclass(frozen=True)
@@ -70,12 +77,16 @@ def adjust_bid(
     return min(adjusted, remaining)
 
 
-def _critical_payment(instance: WdpInstance, winner_id: int, solution: WdpSolution) -> int:
+def _critical_payment(
+    instance: WdpInstance, winner_id: int, solution: WdpSolution, without: WdpSolution | None
+) -> int:
     """Smallest own bid in [1, b_i] (milli granularity) at which the buyer still wins.
 
-    ``solution`` is the round's.  When ``solve_exact`` proved it optimal
-    the threshold has a closed form.  The WDP maximizes the sum of bids
-    and bidders are single-minded, so with own bid x the best allocation
+    ``solution`` is the round's.  When ``solve_exact`` proved it optimal,
+    ``without`` is what ``solve_exact`` returns on the round without i,
+    taken from the round's one ``solve_exact_without`` search, and the
+    threshold has a closed form.  The WDP maximizes the sum of bids and
+    bidders are single-minded, so with own bid x the best allocation
     containing i is worth OPT - b_i + x and the best one without i is
     worth OPT(without i); i wins for x above
     t = OPT(without i) - (OPT - b_i) and loses below it (Archer & Tardos
@@ -83,20 +94,22 @@ def _critical_payment(instance: WdpInstance, winner_id: int, solution: WdpSoluti
     ``solve_exact`` returns the optimum its search reaches first: the
     least key, listing each buyer's seller id in buyer id order with
     unassigned last.  For t < b_i the optima containing i are the
-    round's, the first being ``solution``, and the first without i is
-    the solve without i.  So i wins at t iff ``solution`` has the lesser
-    key: one solve per winner.
+    round's, the first being ``solution``.  The first without i is
+    ``without``: the joint search keeps, for each winner, the first
+    leaf in that same order that leaves it unassigned and reaches the
+    optimum without it (see ``solve_exact_without``).  So i wins at t
+    iff ``solution`` has the lesser key.
 
     A heuristic solver's objective is not OPT; greedy's threshold comes
-    from one greedy pass without i instead (see ``greedy_threshold``).
+    from one greedy pass without i instead (see ``greedy_threshold``),
+    and ``without`` is None.
     """
-    others = WdpInstance(
-        tuple(b for b in instance.bids if b.buyer_id != winner_id), instance.seller_caps
-    )
     own = next(b for b in instance.bids if b.buyer_id == winner_id)
-    if not solution.optimal:
+    if without is None:
+        others = WdpInstance(
+            tuple(b for b in instance.bids if b.buyer_id != winner_id), instance.seller_caps
+        )
         return greedy_threshold(others, own)
-    without = solve_exact(others)
     threshold = without.objective - (solution.objective - own.amount)
     if threshold < 1:
         return 1
@@ -119,8 +132,10 @@ def run_srmra(
     Bids must already be clamped to remaining budgets (and adjusted, if
     a multi-round framework is driving).  Zero-amount bids never win;
     winners pay their bids under first-price pricing and their critical
-    values (see ``_critical_payment``) under critical-value pricing.
-    The outcome is round ``len(ledger.history) + 1``.
+    values (see ``_critical_payment``) under critical-value pricing,
+    where with the exact solver one ``solve_exact_without`` search
+    solves the round without each winner.  The outcome is round
+    ``len(ledger.history) + 1``.
     """
     dimension = len(sellers[0].round_capacity) if sellers else None
     for bid in bids:
@@ -143,7 +158,13 @@ def run_srmra(
     if config.pricing == "first_price":
         payments = dict(winning_bids)
     else:
-        payments = {buyer: _critical_payment(instance, buyer, solution) for buyer in winning_bids}
+        without = {}
+        if solution.optimal and winning_bids:
+            without = solve_exact_without(instance, solution, winning_bids)
+        payments = {
+            buyer: _critical_payment(instance, buyer, solution, without.get(buyer))
+            for buyer in winning_bids
+        }
     outcome = RoundOutcome(
         round=len(ledger.history) + 1,
         winners=solution.assignment,

@@ -244,15 +244,19 @@ class AuctionLedger:
                     f"round {outcome.round}: buyer {buyer_id} overdraft "
                     f"({payment} > {self.remaining_budget[buyer_id]})"
                 )
+        # Served demand is summed only for sellers with a period cap;
+        # nothing is checked or updated for the others.
         served: dict[int, ResourceVector] = {}
         for buyer_id, seller_id in outcome.winners:
             if seller_id not in self.remaining_period_capacity:
                 raise InvariantViolation(f"assignment to unknown seller {seller_id}")
+            if self.remaining_period_capacity[seller_id] is None:
+                continue
             demand = outcome.demands[buyer_id]
             served[seller_id] = served[seller_id] + demand if seller_id in served else demand
         for seller_id, total in served.items():
             cap = self.remaining_period_capacity[seller_id]
-            if cap is not None and not total.fits_within(cap):
+            if not total.fits_within(cap):
                 raise InvariantViolation(
                     f"round {outcome.round}: seller {seller_id} period capacity overrun "
                     f"({tuple(total)} > {tuple(cap)})"
@@ -260,7 +264,5 @@ class AuctionLedger:
         for buyer_id, payment in outcome.payments.items():
             self.remaining_budget[buyer_id] -= payment
         for seller_id, total in served.items():
-            cap = self.remaining_period_capacity[seller_id]
-            if cap is not None:
-                self.remaining_period_capacity[seller_id] = cap - total
+            self.remaining_period_capacity[seller_id] -= total
         self.history.append(outcome)

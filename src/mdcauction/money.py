@@ -8,7 +8,7 @@ conservation exact and makes every simulation bit-reproducible.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, localcontext
 
 from .errors import ValidationError
 
@@ -49,7 +49,7 @@ def format_milli(amount: int) -> str:
     return f"{sign}{amount // SCALE}.{amount % SCALE:03d}"
 
 
-def _floors_to_zero(amount: int, num: int, den: int, g: int) -> bool:
+def _floors_to_zero(amount: int, num: int, den: int, g: float) -> bool:
     """True only if amount * (num/den)**g < 1, for 0 < num < den and amount > 0.
 
     Decided in logarithms.  log(den/num) is taken as log1p of the gap
@@ -62,11 +62,74 @@ def _floors_to_zero(amount: int, num: int, den: int, g: int) -> bool:
     return g * log_ratio > math.log(amount) * (1 + 1e-6) + 1e-6
 
 
+def _settled_floor(n: int, d: int, slack: int, scale: int) -> int | None:
+    """floor(x) shared by every x within a relative ``slack / scale`` of n/d, else None."""
+    low = n * (scale - slack) // (d * scale)
+    high = n * (scale + slack) // (d * scale)
+    return low if low == high else None
+
+
+def _root(x: int, k: int) -> int | None:
+    """The integer y with y ** 2**k == x, or None if there is none."""
+    for _ in range(k):
+        if x <= 1:
+            break
+        y = math.isqrt(x)
+        if y * y != x:
+            return None
+        x = y
+    return x
+
+
+def _scale_by_fractional_pow(amount: int, num: int, den: int, exponent: float) -> int:
+    """floor(amount * (num/den) ** exponent) exactly, for 0 < num != den and amount > 0.
+
+    The exponent is a double, so it is a / 2**k with a odd and k >= 1.
+    The product is a whole number only if num/den in lowest terms is
+    (s/t) ** 2**k for integers s and t: then it equals
+    amount * s**a / t**a, taken in integers.  Otherwise it is
+    irrational, and evaluations of ever higher precision, each with an
+    error bound, settle its floor: first the double factor, then
+    Decimal at 40, 80, ... digits.  Each allows a relative error of
+    exponent + 8 units of its last digit (2**-52 for the double,
+    10**(1 - digits) for Decimal), at least twice its first-order error:
+    half a unit on num/den, magnified by the exponent, plus the power's
+    and the product's own rounding.
+    """
+    slack = math.ceil(exponent) + 8
+    try:
+        p, q = ((num / den) ** exponent).as_integer_ratio()
+    except OverflowError:
+        p, q = 0, 1
+    if p << 1000 >= q:  # a normal double, so its relative error is bounded
+        settled = _settled_floor(amount * p, q, slack, 1 << 52)
+        if settled is not None:
+            return settled
+    if num < den and _floors_to_zero(amount, num, den, exponent):
+        return 0
+    a, two_k = exponent.as_integer_ratio()
+    k = two_k.bit_length() - 1
+    common = math.gcd(num, den)
+    s, t = _root(num // common, k), _root(den // common, k)
+    if s is not None and t is not None:
+        return amount * s**a // t**a
+    digits = 40
+    while True:
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = digits, MAX_EMAX, MIN_EMIN
+            value = Decimal(amount) * (Decimal(num) / Decimal(den)) ** Decimal(exponent)
+        settled = _settled_floor(*value.as_integer_ratio(), slack, 10 ** (digits - 1))
+        if settled is not None:
+            return settled
+        digits *= 2
+
+
 def scale_by_ratio_pow(amount: int, num: int, den: int, exponent: float) -> int:
     """floor(amount * (num/den) ** exponent), all amounts in milli-units.
 
-    Integer exponents use exact integer arithmetic; fractional exponents
-    fall back to float pow and floor.  Integer exponents above 1 first
+    The result is exact for every amount, ratio and exponent.  Integer
+    exponents use integer arithmetic; fractional ones are settled by
+    ``_scale_by_fractional_pow``.  Integer exponents above 1 first
     take the cases that need no big powers: a ratio of 1 keeps the
     amount, and a ratio of 0 or a result that provably floors to 0 gives
     0, so a huge exponent such as 1e9 on a shrinking ratio costs nothing.
@@ -85,8 +148,11 @@ def scale_by_ratio_pow(amount: int, num: int, den: int, exponent: float) -> int:
             if amount == 0 or num == 0 or (num < den and _floors_to_zero(amount, num, den, g)):
                 return 0
         return amount * num**g // den**g
-    if num == 0:
+    if amount == 0 or num == 0:
         return 0
-    scaled = math.floor(amount * (num / den) ** exponent)
-    # Float rounding can lift a result past the amount on a ratio of at most 1.
-    return min(scaled, amount) if num <= den else scaled
+    if num == den:
+        return amount
+    scaled = _scale_by_fractional_pow(amount, num, den, exponent)
+    # Exact results never exceed the amount on a ratio below 1; the clamp
+    # keeps a punished bid within the true bid should an error bound fail.
+    return min(scaled, amount) if num < den else scaled

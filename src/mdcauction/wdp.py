@@ -86,17 +86,16 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"search budget exceeded ({node_budget} nodes)")
 
 
-def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> WdpSolution:
-    """Maximum-objective feasible assignment by depth-first branch and bound.
+class _JointSearchExhausted(Exception):
+    """``solve_exact_without``'s search ran out of nodes."""
 
-    Buyers are processed in id order; each node branches over the
-    sellers (ascending id) with room left, then over leaving the buyer
-    unassigned.  The bound is the partial value plus the sum of all
-    remaining bids, which is admissible, and the incumbent is replaced
-    only on strict improvement, so among equal-objective optima the
-    first one in this search order wins: earlier buyers are assigned in
-    preference to later ones, lower seller ids in preference to higher,
-    assigned in preference to unassigned.
+
+def _packed(instance: WdpInstance):
+    """``(bids, amounts, guard, rooms, needs, choices, suffix)``: the exact searches' state.
+
+    ``bids`` are in buyer id order and ``choices[i]`` lists
+    ``(seller index, (buyer id, seller id))`` by ascending seller id;
+    ``suffix[i]`` is the sum of the amounts from buyer i on.
 
     Each seller's residual capacity is one integer with a field of
     B + 1 bits per dimension, where B is the bit length of the largest
@@ -109,10 +108,6 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     assigning it is that one subtraction (Lamport, "Multiple byte
     processing with full-word instructions", CACM 1975).  With no
     dimensions ``guard`` is 0 and every demand fits.
-
-    Raises SearchBudgetExceeded if more than ``node_budget`` nodes are
-    expanded.  It carries the search's incumbent, or greedy's solution
-    where that is strictly better; either way not proven optimal.
     """
     bids = sorted(instance.bids, key=lambda b: b.buyer_id)
     n = len(bids)
@@ -133,6 +128,29 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + amounts[i]
+    return bids, amounts, guard, rooms, needs, choices, suffix
+
+
+def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> WdpSolution:
+    """Maximum-objective feasible assignment by depth-first branch and bound.
+
+    Buyers are processed in id order; each node branches over the
+    sellers (ascending id) with room left, then over leaving the buyer
+    unassigned.  The bound is the partial value plus the sum of all
+    remaining bids, which is admissible, and the incumbent is replaced
+    only on strict improvement, so among equal-objective optima the
+    first one in this search order wins: earlier buyers are assigned in
+    preference to later ones, lower seller ids in preference to higher,
+    assigned in preference to unassigned.  Residual capacities are
+    packed integers, so a fit test is one subtraction and one mask
+    (see ``_packed``).
+
+    Raises SearchBudgetExceeded if more than ``node_budget`` nodes are
+    expanded.  It carries the search's incumbent, or greedy's solution
+    where that is strictly better; either way not proven optimal.
+    """
+    bids, amounts, guard, rooms, needs, choices, suffix = _packed(instance)
+    n = len(bids)
 
     best_value = -1
     best_pairs: tuple[tuple[int, int], ...] = ()
@@ -174,6 +192,126 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     if best_value < 0:
         return WdpSolution(Assignment(()), 0, True)
     return WdpSolution(Assignment(best_pairs), best_value, True)
+
+
+def solve_exact_without(
+    instance: WdpInstance,
+    solution: WdpSolution,
+    buyer_ids,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> dict[int, WdpSolution]:
+    """``solve_exact`` on ``instance`` without w, for each w in ``buyer_ids``, from one search.
+
+    ``solution`` is a feasible assignment of ``instance``, normally the
+    round's optimum, and every w bids in ``instance``.  The search
+    walks ``solve_exact``'s tree of the whole instance in its order.
+    The leaves where w is unassigned are, in the same order, the leaves
+    of ``solve_exact``'s tree without w: w takes no room on them, so
+    every other buyer has the same choices.  Each w keeps its own
+    incumbent over those leaves, replaced only on strict improvement.
+    It starts at ``solution.objective - b_w - 1``: ``solution`` without w
+    is feasible and worth at least ``solution.objective - b_w``, so the
+    optimum without w beats the start.  A subtree is cut only when, for
+    every w left unassigned on its path, its partial value plus the
+    remaining bids, less b_w while w is undecided, is at most w's
+    incumbent.  That bounds every leaf of the subtree where w is
+    unassigned, so such a leaf is no better than the start or than a
+    leaf reached before it.  The first leaf worth the optimum without w
+    is therefore never cut and is the one kept: w's result is what
+    ``solve_exact`` returns without w, the same objective and the same
+    first optimum in search order, proven optimal.
+
+    The joint search may expand ``node_budget`` nodes.  Past that, each
+    w is solved alone by ``solve_exact`` with ``node_budget`` nodes of
+    its own, in ``buyer_ids`` order, as if there were no joint search:
+    a round whose solves alone each fit the budget still gets its
+    results, and otherwise the first solve that runs out raises its
+    SearchBudgetExceeded.
+    """
+    bids, amounts, guard, rooms, needs, choices, suffix = _packed(instance)
+    n = len(bids)
+    position = {b.buyer_id: i for i, b in enumerate(bids)}
+    tracked = tuple(sorted({position[buyer_id] for buyer_id in buyer_ids}))
+    # best[k]: buyer k's incumbent; bar[k] = best[k] + b_k, what the
+    # partial value plus the remaining bids must beat while k is undecided.
+    best = [0] * n
+    bar = [0] * n
+    found: dict[int, tuple[tuple[int, int], ...]] = {}
+    is_tracked = [False] * n
+    for k in tracked:
+        best[k] = solution.objective - amounts[k] - 1
+        bar[k] = solution.objective - 1
+        is_tracked[k] = True
+    last = tracked[-1] if tracked else -1
+    # limit[i]: the least bar of the tracked buyers from depth i on, who
+    # are undecided at every node of that depth; suffix[0] if there are
+    # none, as no node's partial value plus remaining bids exceeds it.
+    limit = [suffix[0]] * (n + 1)
+
+    def refresh_limit() -> None:
+        low = suffix[0]
+        for k in range(n - 1, -1, -1):
+            if is_tracked[k] and bar[k] < low:
+                low = bar[k]
+            limit[k] = low
+
+    refresh_limit()
+    chosen: list[tuple[int, int]] = []
+    nodes = 0
+
+    def descend(i: int, value: int, decided: tuple) -> None:
+        # decided: tracked buyers left unassigned above depth i.  Tracked
+        # buyers assigned on this path are not in it, as no leaf below
+        # counts for them.
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise _JointSearchExhausted
+        total = value + suffix[i]
+        if total <= limit[i]:
+            for k in decided:
+                if total > best[k]:
+                    break
+            else:
+                return
+        if i == n:
+            improved = False
+            for k in decided:
+                if value > best[k]:
+                    best[k] = value
+                    bar[k] = value + amounts[k]
+                    found[k] = tuple(chosen)
+                    improved = True
+            if improved:
+                refresh_limit()
+            return
+        # Assigning i counts only for a tracked buyer still open: one left
+        # unassigned above, or one after i.
+        if decided or i < last:
+            need = needs[i]
+            taken = value + amounts[i]
+            for j, pair in choices[i]:
+                room = rooms[j]
+                left = room - need
+                if left & guard == guard:
+                    rooms[j] = left
+                    chosen.append(pair)
+                    descend(i + 1, taken, decided)
+                    chosen.pop()
+                    rooms[j] = room
+        descend(i + 1, value, decided + (i,) if is_tracked[i] else decided)
+
+    try:
+        descend(0, 0, ())
+    except _JointSearchExhausted:
+        alone = {}
+        for w in buyer_ids:
+            others = tuple(b for b in instance.bids if b.buyer_id != w)
+            alone[w] = solve_exact(WdpInstance(others, instance.seller_caps), node_budget)
+        return alone
+    return {
+        bids[k].buyer_id: WdpSolution(Assignment(found[k]), best[k], True) for k in tracked
+    }
 
 
 def _scale(instance: WdpInstance) -> tuple[int, list[int]]:

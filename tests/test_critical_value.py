@@ -3,9 +3,11 @@
 The reference in this file re-solves the round once per trial bid and
 searches for the smallest own bid in [1, b_i] at which the buyer still
 wins, which is the definition of the critical value.  The production
-code derives the exact solver's payment from one solve without the
-winner, settling the tie at the threshold by the exact search's order,
-and the greedy heuristic's from one greedy pass without the winner.
+code derives every exact winner's payment from one joint search of the
+round (``solve_exact_without``), which yields the solve without each
+winner and settles the tie at the threshold by the exact search's
+order.  The greedy heuristic's payment comes from one greedy pass
+without the winner.
 """
 
 import json
@@ -29,7 +31,7 @@ from mdcauction import (
     run_srmra,
 )
 from mdcauction.cli import main
-from mdcauction.wdp import WdpInstance, solve_exact, solve_greedy
+from mdcauction.wdp import WdpInstance, solve_exact, solve_exact_without, solve_greedy
 from wdp_oracle import brute_force_best, random_unit_instance
 
 def round_inputs(amounts, demands, caps):
@@ -103,22 +105,27 @@ def test_contested_tie_goes_to_the_lower_buyer_id():
     assert clear(bids, sellers, "exact").payments == {1: 6}
 
 
-def test_exact_pricing_solves_once_per_winner(monkeypatch):
-    calls = 0
+def test_exact_pricing_searches_once_per_round(monkeypatch):
+    calls = []
 
-    def counting(instance):
-        nonlocal calls
-        calls += 1
-        return solve_exact(instance)
+    def counting(name, solve):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
 
-    monkeypatch.setattr(mechanisms, "solve_exact", counting)
+        return wrapper
+
+    monkeypatch.setattr(mechanisms, "solve_exact", counting("solve", solve_exact))
+    monkeypatch.setattr(
+        mechanisms, "solve_exact_without", counting("without", solve_exact_without)
+    )
     winners = inside = 0
     for seed in range(150):
         amounts, demands, caps = random_unit_instance(seed)
         bids, sellers = round_inputs(amounts, demands, caps)
-        calls = 0
+        calls.clear()
         outcome = clear(bids, sellers, "exact")
-        assert calls == 1 + len(outcome.payments), seed
+        assert calls == (["solve", "without"] if outcome.payments else ["solve"]), seed
         winners += len(outcome.payments)
         inside += sum(1 < p < amounts[b] for b, p in outcome.payments.items())
     assert winners > 200
@@ -161,18 +168,29 @@ def test_tie_at_the_threshold_settled_by_an_earlier_buyers_seller(
 
 
 def exhaust_on_call(monkeypatch, call):
-    """Let the ``call``-th exact solve run out of nodes; return the instances solved."""
+    """Let the ``call``-th exact search run out of nodes; return ``(search, instance)`` per call.
+
+    Call 1 is the round's ``solve_exact``, call 2 the joint search
+    without each winner.  At a budget of 1 the solves without a single
+    winner that replace an exhausted joint search run out too.
+    """
     seen = []
 
     def solve(instance):
-        seen.append(instance)
-        return solve_exact(instance, node_budget=1) if len(seen) == call else solve_exact(instance)
+        seen.append(("solve", instance))
+        return solve_exact(instance, node_budget=1) if call == 1 else solve_exact(instance)
+
+    def without(instance, solution, buyer_ids):
+        seen.append(("without", instance))
+        if call == 2:
+            return solve_exact_without(instance, solution, buyer_ids, node_budget=1)
+        return solve_exact_without(instance, solution, buyer_ids)
 
     monkeypatch.setattr(mechanisms, "solve_exact", solve)
+    monkeypatch.setattr(mechanisms, "solve_exact_without", without)
     return seen
 
 
-# Call 1 is the round's solve, call 2 the solve without its first winner.
 @pytest.mark.parametrize("call", [1, 2])
 def test_exhausted_search_aborts_the_round_uncharged(monkeypatch, call):
     sellers = (Seller(0, ResourceVector((2,))), Seller(1, ResourceVector((1,))))
@@ -181,8 +199,8 @@ def test_exhausted_search_aborts_the_round_uncharged(monkeypatch, call):
     seen = exhaust_on_call(monkeypatch, call)
     with pytest.raises(SearchBudgetExceeded):
         run_srmra(bids, sellers, ledger, MechanismConfig(pricing="critical_value"))
-    assert len(seen) == call
-    assert [len(instance.bids) for instance in seen] == [2, 1][:call]
+    assert [name for name, _ in seen] == ["solve", "without"][:call]
+    assert [len(instance.bids) for _, instance in seen] == [2, 2][:call]
     assert ledger.history == []
 
 
@@ -196,9 +214,9 @@ def test_exhausted_search_exits_3(monkeypatch, tmp_path, capsys, call):
     path.write_text(json.dumps(params))
     seen = exhaust_on_call(monkeypatch, call)
     assert main(["compare", str(path), "--seeds", "1", "--out", str(tmp_path / "cv.csv")]) == 3
-    assert len(seen) == call
+    assert [name for name, _ in seen] == ["solve", "without"][:call]
     if call == 2:
-        assert len(seen[1].bids) == len(seen[0].bids) - 1
+        assert seen[1][1] is seen[0][1]
     err = capsys.readouterr().err
     assert err == "error: run aborted: exact solver search budget exceeded (1 nodes)\n"
 

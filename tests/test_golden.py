@@ -31,6 +31,23 @@ CV_PARAMS = {
     "mechanism": {"pricing": "critical_value"},
 }
 
+# Critical-value pricing with three sellers and period caps that bind, so
+# seller tie-breaks and shrinking capacities both reach the payments.
+CV_SELLERS_PARAMS = {
+    "n_buyers": 12,
+    "m_sellers": 3,
+    "horizon": 12,
+    "dimensions": 2,
+    "demand_range": [1, 5],
+    "bid_range": [1, 20],
+    "budget_range": [30, 120],
+    "capacity_range": [4, 10],
+    "period_capacity_range": [20, 50],
+    "ask_range": [1, 10],
+    "seed": 31,
+    "mechanism": {"pricing": "critical_value"},
+}
+
 # name -> (argv, file the run writes); stdout is kept as <name>.txt.
 CASES = {
     "compare_default": (
@@ -40,6 +57,11 @@ CASES = {
     ),
     "compare_users40": (["compare", "users40", "--seeds", "2", "--out", "out.csv"], "out.csv"),
     "compare_cv": (["compare", "cv-default.json", "--seeds", "3", "--out", "out.csv"], "out.csv"),
+    "compare_cv_sellers": (
+        ["compare", "cv-sellers.json", "--seeds", "4",
+         "--mechanisms", "mafl,repeated_srmra", "--out", "out.csv"],
+        "out.csv",
+    ),
     "replay_table2": (["replay", "table2", "--baseline", "table1", "--out", "out.csv"], "out.csv"),
     "run_mafl": (["run", "scenario.json", "--mechanism", "mafl", "--out", "out.csv"], "out.csv"),
 }
@@ -49,6 +71,7 @@ CASES = {
 def test_golden_output(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cv-default.json").write_text(json.dumps(CV_PARAMS))
+    (tmp_path / "cv-sellers.json").write_text(json.dumps(CV_SELLERS_PARAMS))
     assert main(["gen", "default", "--materialize", "--out", "scenario.json"]) == 0
     argv, written = CASES[name]
     capsys.readouterr()

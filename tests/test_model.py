@@ -116,6 +116,24 @@ class TestLedger:
         with pytest.raises(InvariantViolation, match="period capacity"):
             ledger.charge(outcome(1, [(0, 0)], {0: 1000}, {0: rv(2)}))
 
+    def test_capped_seller_overruns_next_to_an_uncapped_one(self):
+        # Seller 1 has no period cap; seller 0's cap of 2 is overrun by 3.
+        sellers = [Seller(0, rv(5), rv(2)), Seller(1, rv(5))]
+        ledger = AuctionLedger.new([Buyer(0, 9000), Buyer(1, 9000), Buyer(2, 9000)], sellers)
+        round_one = outcome(
+            1, [(0, 0), (1, 1), (2, 0)], {0: 1000, 1: 1000, 2: 1000},
+            {0: rv(2), 1: rv(4), 2: rv(1)},
+        )
+        with pytest.raises(InvariantViolation, match="seller 0 period capacity overrun"):
+            ledger.charge(round_one)
+        assert ledger.history == []
+        assert ledger.remaining_period_capacity == {0: rv(2), 1: None}
+
+    def test_assignment_to_an_unknown_seller_is_an_invariant_violation(self):
+        ledger = AuctionLedger.new([Buyer(0, 9000)], [Seller(0, rv(5))])
+        with pytest.raises(InvariantViolation, match="unknown seller 7"):
+            ledger.charge(outcome(1, [(0, 7)], {0: 1000}, {0: rv(1)}))
+
     def test_period_capacity_depletes_and_caps_effective(self):
         seller = Seller(0, rv(2), rv(3))
         ledger = AuctionLedger.new([Buyer(0, 9000)], [seller])

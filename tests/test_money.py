@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -5,7 +6,7 @@ import sys
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mdcauction import ValidationError, format_milli, to_milli
 from mdcauction.money import scale_by_ratio_pow
@@ -104,3 +105,66 @@ def test_fractional_exponent_never_exceeds_the_amount():
 def test_fractional_exponent_result_is_at_most_the_amount(amount, den, gamma, data):
     num = data.draw(st.integers(0, den))
     assert 0 <= scale_by_ratio_pow(amount, num, den, gamma) <= amount
+
+
+def test_fractional_exponent_keeps_every_unit_above_2_pow_53():
+    # The amount is not rounded to a double: (1/4) ** 0.5 is exactly 0.5.
+    amount = 2**60 + 12345
+    assert scale_by_ratio_pow(amount, 1, 4, 0.5) == amount // 2
+
+
+def test_fractional_exponent_is_exact_at_whole_numbers():
+    # (36/100) ** 0.5 is 0.6, but the double 0.36 ** 0.5 lies just below it.
+    assert scale_by_ratio_pow(10000, 36, 100, 0.5) == 6000
+    assert scale_by_ratio_pow(10000, 9, 100, 0.5) == 3000
+    assert scale_by_ratio_pow(1000, 36, 100, 0.5) == 600
+    # 66.48 * (1095200/3836450) ** 0.5 is 35.52; the float product floors to 35.519.
+    assert scale_by_ratio_pow(66480, 1095200, 3836450, 0.5) == 35520
+    assert scale_by_ratio_pow(100 * 2**60, 36, 100, 0.5) == 60 * 2**60
+    # The double factor 2**-1100 underflows to 0.
+    assert scale_by_ratio_pow(2**2000, 1, 2**2200, 0.5) == 2**900
+
+
+def test_tiny_fractional_exponent_still_takes_the_last_unit():
+    # 4 * (1/2) ** 1e-300 lies just below 4, though the double factor is 1.
+    assert scale_by_ratio_pow(4000, 1, 2, 1e-300) == 3999
+
+
+quarters = st.integers(1, 31).filter(lambda a: a % 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**70), st.integers(1, 2**70), quarters, st.data())
+def test_quarter_exponents_match_an_integer_fourth_root(amount, den, a, data):
+    # floor(x ** (1/4)) == isqrt(isqrt(floor(x))) for any real x >= 0
+    num = data.draw(st.integers(0, den))
+    expected = math.isqrt(math.isqrt(amount**4 * num**a // den**a))
+    assert scale_by_ratio_pow(amount, num, den, a / 4) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 300),
+    st.integers(1, 10**6),
+    quarters,
+    st.data(),
+)
+def test_whole_results_are_not_lost(m, v, c, a, data):
+    # num/den = (u/v) ** 4, so amount * (num/den) ** (a/4) is exactly m * u**a.
+    u = data.draw(st.integers(0, v))
+    assert scale_by_ratio_pow(m * v**a, u**4 * c, v**4 * c, a / 4) == m * u**a
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(0, 10**7),
+    st.integers(1, 10**7),
+    st.floats(0.01, 20).filter(lambda g: g != int(g)),
+    st.data(),
+)
+def test_fractional_exponent_matches_floats_away_from_whole_numbers(amount, den, gamma, data):
+    num = data.draw(st.integers(0, den))
+    x = amount * (num / den) ** gamma
+    assume(abs(x - round(x)) > 1e-6)
+    assert scale_by_ratio_pow(amount, num, den, gamma) == math.floor(x)

@@ -16,7 +16,9 @@ from mdcauction import (
     solve_exact,
     solve_greedy,
 )
+from mdcauction import wdp
 from mdcauction.model import Assignment
+from mdcauction.wdp import solve_exact_without
 from wdp_oracle import (
     brute_force_best,
     check_feasible,
@@ -392,3 +394,114 @@ def test_exact_returns_the_optimum_first_in_search_order():
         assert dict(solution.assignment) == dict(pairs), instance
         tied += optima > 1
     assert tied > 0
+
+
+@st.composite
+def pricing_instances(draw):
+    """Small instances for the joint search without each buyer, with a subset of buyers to drop.
+
+    0-3 dimensions with zero capacities and demands; 1-4 sellers and
+    0-8 bids with non-contiguous ids, the bids in arbitrary order;
+    amounts 1-4, so tied optima are common.  The dropped buyers are
+    drawn from all bidders, winners or not.
+    """
+    d = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 8))
+    buyer_ids = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    units = st.integers(0, 3)
+    bids = tuple(
+        Bid(b, draw(st.integers(1, 4)), ResourceVector(tuple(draw(units) for _ in range(d))))
+        for b in buyer_ids
+    )
+    seller_ids = draw(st.lists(st.integers(0, 20), min_size=m, max_size=m, unique=True))
+    caps = {
+        s: ResourceVector(tuple(draw(st.integers(0, 4)) for _ in range(d))) for s in seller_ids
+    }
+    dropped = draw(st.lists(st.sampled_from(buyer_ids), unique=True)) if buyer_ids else []
+    return WdpInstance(bids, caps), dropped
+
+
+def without(instance, buyer_id):
+    others = tuple(b for b in instance.bids if b.buyer_id != buyer_id)
+    return WdpInstance(others, instance.seller_caps)
+
+
+def solves_alone(instance, buyer_ids, **budget):
+    """``solve_exact`` without each buyer in turn, or the exception of the first that runs out."""
+    try:
+        return {w: solve_exact(without(instance, w), **budget) for w in buyer_ids}
+    except SearchBudgetExceeded as exc:
+        return exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(pricing_instances(), st.one_of(st.none(), st.integers(1, 40)))
+def test_exact_without_matches_a_solve_without_each_buyer(data, node_budget):
+    instance, dropped = data
+    solution = solve_exact(instance)
+    budget = {} if node_budget is None else {"node_budget": node_budget}
+    expected = solves_alone(instance, dropped, **budget)
+    try:
+        joint = solve_exact_without(instance, solution, dropped, **budget)
+    except SearchBudgetExceeded as exc:
+        # Only a solve alone raises, and it is the first one that runs out.
+        assert isinstance(expected, SearchBudgetExceeded)
+        assert (exc.node_budget, exc.best) == (expected.node_budget, expected.best)
+        return
+    if isinstance(expected, SearchBudgetExceeded):
+        # The joint search finished where a solve alone would not have.
+        expected = solves_alone(instance, dropped)
+    assert sorted(joint) == sorted(expected)
+    for buyer_id, alone in expected.items():
+        assert joint[buyer_id].assignment.pairs == alone.assignment.pairs
+        assert joint[buyer_id].objective == alone.objective
+        assert joint[buyer_id].optimal == alone.optimal
+
+
+def nodes_needed(instance):
+    """The least node budget at which ``solve_exact`` finishes on ``instance``."""
+
+    def finishes(node_budget):
+        try:
+            solve_exact(instance, node_budget=node_budget)
+        except SearchBudgetExceeded:
+            return False
+        return True
+
+    high = 1
+    while not finishes(high):
+        high *= 2
+    low = high // 2 + 1 if high > 1 else 1
+    while low < high:
+        middle = (low + high) // 2
+        if finishes(middle):
+            high = middle
+        else:
+            low = middle + 1
+    return low
+
+
+def test_exact_without_prices_a_round_whose_solves_alone_each_fit(monkeypatch):
+    # The budget is just enough for the largest solve without one winner;
+    # where the joint search needs more, each winner is solved alone.
+    fell_back = 0
+    for seed in range(80):
+        instance = make_instance(*random_unit_instance(seed))
+        solution = solve_exact(instance)
+        winners = [buyer_id for buyer_id, _ in solution.assignment.pairs]
+        expected = solves_alone(instance, winners)
+        budget = max((nodes_needed(without(instance, w)) for w in winners), default=1)
+        calls = []
+
+        def counting(instance, node_budget):
+            calls.append(node_budget)
+            return solve_exact(instance, node_budget)
+
+        monkeypatch.setattr(wdp, "solve_exact", counting)
+        joint = solve_exact_without(instance, solution, winners, node_budget=budget)
+        monkeypatch.undo()
+        assert joint == expected, seed
+        assert calls in ([], [budget] * len(winners)), seed
+        fell_back += bool(calls)
+    assert fell_back >= 10
