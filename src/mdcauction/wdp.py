@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import chain
+from itertools import accumulate, chain
 from operator import mul, sub
 
 from .errors import InvariantViolation, ValidationError
@@ -90,8 +90,8 @@ class _JointSearchExhausted(Exception):
     """``solve_exact_without``'s search ran out of nodes."""
 
 
-def _packed(instance: WdpInstance):
-    """``(bids, amounts, guard, rooms, needs, choices, suffix)``: the exact searches' state.
+def _packed(instance: WdpInstance, relax: bool = False):
+    """``(bids, amounts, guard, rooms, needs, choices, suffix, relaxed)``: the search state.
 
     ``bids`` are in buyer id order and ``choices[i]`` lists
     ``(seller index, (buyer id, seller id))`` by ascending seller id;
@@ -108,6 +108,21 @@ def _packed(instance: WdpInstance):
     assigning it is that one subtraction (Lamport, "Multiple byte
     processing with full-word instructions", CACM 1975).  With no
     dimensions ``guard`` is 0 and every demand fits.
+
+    With ``relax``, ``relaxed = (base, scale, margins, rsum)`` is
+    ``solve_exact``'s Lagrangian bound on one pooled capacity row,
+    scaled to integers; without it, ``relaxed`` is None.
+    T_k is the sum of the sellers' capacities in dimension k.  Of the
+    dimensions whose total demand exceeds T_k, k is the one with the
+    largest total demand over T_k (the first on a tie; a zero T_k ranks
+    highest).  Walking the bids with a positive demand in k by
+    descending amount / demand, c is the first one whose demand no
+    longer fits in what is left of T_k; the multiplier is
+    lambda = a_c / d_c.  ``scale`` is d_c, ``base`` is a_c * T_k,
+    ``margins[i]`` is a_i * d_c - a_c * d_ik, and ``rsum[i]`` is the sum
+    of the positive margins from buyer i on.  When every dimension's
+    demand fits its total there is no multiplier: ``scale`` and
+    ``base`` are 0 and so are all margins.
     """
     bids = sorted(instance.bids, key=lambda b: b.buyer_id)
     n = len(bids)
@@ -128,7 +143,31 @@ def _packed(instance: WdpInstance):
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + amounts[i]
-    return bids, amounts, guard, rooms, needs, choices, suffix
+    if not relax:
+        return bids, amounts, guard, rooms, needs, choices, suffix, None
+
+    zeros = [0] * instance.dimension
+    totals = [sum(column) for column in zip(*caps)] or zeros
+    demanded = [sum(column) for column in zip(*demands)] or zeros
+    k = None
+    for j, (total, demand) in enumerate(zip(totals, demanded)):
+        if demand > total and (k is None or demand * totals[k] > demanded[k] * total):
+            k = j
+    if k is None:
+        relaxed = (0, 0, [0] * n, [0] * (n + 1))
+    else:
+        dense = [(amounts[i], d[k], i) for i, d in enumerate(demands) if d[k]]
+        dense.sort(key=cmp_to_key(_rank))
+        left = totals[k]
+        for price, scale, _i in dense:
+            left -= scale
+            if left < 0:
+                break
+        margins = [a * scale - price * d[k] for a, d in zip(amounts, demands)]
+        rsum = list(accumulate((m if m > 0 else 0 for m in reversed(margins)), initial=0))
+        rsum.reverse()
+        relaxed = (price * totals[k], scale, margins, rsum)
+    return bids, amounts, guard, rooms, needs, choices, suffix, relaxed
 
 
 def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> WdpSolution:
@@ -136,24 +175,43 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
 
     Buyers are processed in id order; each node branches over the
     sellers (ascending id) with room left, then over leaving the buyer
-    unassigned.  The bound is the partial value plus the sum of all
-    remaining bids, which is admissible, and the incumbent is replaced
-    only on strict improvement, so among equal-objective optima the
-    first one in this search order wins: earlier buyers are assigned in
-    preference to later ones, lower seller ids in preference to higher,
-    assigned in preference to unassigned.  Residual capacities are
-    packed integers, so a fit test is one subtraction and one mask
-    (see ``_packed``).
+    unassigned.  A node at depth i with partial value v is cut by two
+    admissible bounds.  One is v plus the sum of all remaining bids.
+    The other relaxes one pooled capacity row, the dimension k chosen in
+    ``_packed``, with its multiplier lambda fixed at the root (Fisher,
+    "The Lagrangian relaxation method for solving integer programming
+    problems", Management Science 1981): every leaf below is worth at
+    most v + lambda * R_k + sum over i' >= i of
+    max(0, a_i' - lambda * d_i'k), where R_k is the sellers' pooled
+    residual in k, because the leaf's demand in k fits R_k.  Scaled by
+    d_c that is ``base + reduced + rsum[i]``, where ``reduced`` sums the
+    margins of the buyers assigned so far, carried down like v at one
+    addition per assignment; the node is cut when it is below
+    (incumbent + 1) * d_c.  When every dimension's total demand fits
+    the sellers' total capacity there is no multiplier, and only the
+    first bound cuts.  A cut subtree holds no leaf better than the
+    incumbent, and the incumbent is replaced only on strict
+    improvement, so among equal-objective optima the first one in this
+    search order wins: earlier buyers are assigned in preference to
+    later ones, lower seller ids in preference to higher, assigned in
+    preference to unassigned.  The capacity bound only removes nodes
+    from the search without it, and never the path to the optimum it
+    returns.  Residual capacities are packed integers, so a fit test is
+    one subtraction and one mask (see ``_packed``).
 
     Raises SearchBudgetExceeded if more than ``node_budget`` nodes are
     expanded.  It carries the search's incumbent, or greedy's solution
     where that is strictly better; either way not proven optimal.
     """
-    bids, amounts, guard, rooms, needs, choices, suffix = _packed(instance)
+    bids, amounts, guard, rooms, needs, choices, suffix, relaxed = _packed(instance, relax=True)
+    base, scale, margins, rsum = relaxed
     n = len(bids)
 
     best_value = -1
     best_pairs: tuple[tuple[int, int], ...] = ()
+    # bar = (best_value + 1) * scale - base: a node is cut when its
+    # reduced + rsum[i] falls below it.  Without a multiplier both sides are 0.
+    bar = -base
     chosen: list[tuple[int, int]] = []
     nodes = 0
 
@@ -163,32 +221,34 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
             return greedy
         return WdpSolution(Assignment(best_pairs), max(best_value, 0), False)
 
-    def descend(i: int, value: int) -> None:
-        nonlocal best_value, best_pairs, nodes
+    def descend(i: int, value: int, reduced: int) -> None:
+        nonlocal best_value, best_pairs, bar, nodes
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(node_budget, incumbent())
-        if value + suffix[i] <= best_value:
+        if value + suffix[i] <= best_value or reduced + rsum[i] < bar:
             return
         if i == n:
             if value > best_value:
                 best_value = value
                 best_pairs = tuple(chosen)
+                bar = (value + 1) * scale - base
             return
         need = needs[i]
         taken = value + amounts[i]
+        reduced_taken = reduced + margins[i]
         for j, pair in choices[i]:
             room = rooms[j]
             left = room - need
             if left & guard == guard:
                 rooms[j] = left
                 chosen.append(pair)
-                descend(i + 1, taken)
+                descend(i + 1, taken, reduced_taken)
                 chosen.pop()
                 rooms[j] = room
-        descend(i + 1, value)
+        descend(i + 1, value, reduced)
 
-    descend(0, 0)
+    descend(0, 0, 0)
     if best_value < 0:
         return WdpSolution(Assignment(()), 0, True)
     return WdpSolution(Assignment(best_pairs), best_value, True)
@@ -228,7 +288,7 @@ def solve_exact_without(
     results, and otherwise the first solve that runs out raises its
     SearchBudgetExceeded.
     """
-    bids, amounts, guard, rooms, needs, choices, suffix = _packed(instance)
+    bids, amounts, guard, rooms, needs, choices, suffix, _relaxed = _packed(instance)
     n = len(bids)
     position = {b.buyer_id: i for i, b in enumerate(bids)}
     tracked = tuple(sorted({position[buyer_id] for buyer_id in buyer_ids}))

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdcauction import (
     Bid,
@@ -21,9 +21,11 @@ from mdcauction.model import Assignment
 from mdcauction.wdp import solve_exact_without
 from wdp_oracle import (
     brute_force_best,
+    capacity_multiplier,
     check_feasible,
     fraction_greedy,
     list_exact,
+    plain_list_exact,
     random_unit_instance,
 )
 
@@ -396,6 +398,67 @@ def test_exact_returns_the_optimum_first_in_search_order():
     assert tied > 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(exact_instances(), st.one_of(st.integers(1, 300), st.integers(1, 10**6)))
+def test_exact_finishes_wherever_the_search_without_the_capacity_bound_does(instance, node_budget):
+    finished, plain = _outcome(plain_list_exact, instance, node_budget)
+    if not finished:
+        return
+    solution = solve_exact(instance, node_budget)
+    assert solution.optimal
+    assert solution.assignment.pairs == plain.assignment.pairs
+    assert solution.objective == plain.objective
+
+
+def _vectors(*rows):
+    return tuple(ResourceVector(row) for row in rows)
+
+
+def _instance(amounts, demands, caps):
+    bids = tuple(Bid(i, a, d) for i, (a, d) in enumerate(zip(amounts, _vectors(*demands))))
+    return WdpInstance(bids, {2 + 3 * j: cap for j, cap in enumerate(_vectors(*caps))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_instances())
+@example(_instance([5, 0, 3], [(), (), ()], [(), ()]))  # d = 0
+@example(_instance([0, 7, 0, 4], [(3, 0), (2, 1), (0, 0), (1, 1)], [(0, 0), (0, 1)]))
+@example(_instance([10**12, 3, 10**12 - 1], [(2**64, 1), (2**63, 0), (2**64 - 1, 2)], [(2**64, 2)]))
+@example(_instance([20, 6, 5, 4], [(11, 0), (4, 1), (3, 2), (5, 0)], [(10, 5), (9, 5)]))
+def test_the_root_capacity_bound_is_at_least_the_optimum(instance):
+    assume((len(instance.seller_caps) + 1) ** len(instance.bids) <= 1000)
+    pairs, _count = least_key_optimum(instance)
+    amount_of = {b.buyer_id: b.amount for b in instance.bids}
+    optimum = sum(amount_of[b] for b, _ in pairs)
+    *_, suffix, (base, scale, margins, rsum) = wdp._packed(instance, relax=True)
+    multiplier = capacity_multiplier(instance)
+    if multiplier is None:
+        # Nothing to cut: the search's cut compares 0 with 0.
+        assert (base, scale) == (0, 0) and not any(margins) and not any(rsum)
+        root = suffix[0]
+    else:
+        k, lam = multiplier
+        total = sum(cap.units[k] for cap in instance.seller_caps.values())
+        gains = (max(0, b.amount - lam * b.demand.units[k]) for b in instance.bids)
+        relaxed = lam * total + sum(gains)
+        root = (base + rsum[0]) // scale
+        assert root == math.floor(relaxed)
+    assert root >= optimum
+
+
+def test_the_capacity_bound_proves_the_ladder_25_by_2_at_seed_101():
+    # Exhausts 100 000 nodes without the bound.  The optimum was recorded
+    # by an independent pooled fractional-knapsack search.
+    scenario = generate_scenario(GeneratorParams(n_buyers=25, m_sellers=2, horizon=1, seed=101))
+    instance = WdpInstance(
+        tuple(row[0] for row in scenario.bid_matrix),
+        {s.id: s.round_capacity for s in scenario.sellers},
+    )
+    solution = solve_exact(instance, node_budget=100_000)
+    assert solution.optimal
+    assert solution.objective == 150_000
+    assert check_feasible(solution.assignment, instance)
+
 @st.composite
 def pricing_instances(draw):
     """Small instances for the joint search without each buyer, with a subset of buyers to drop.
@@ -459,12 +522,12 @@ def test_exact_without_matches_a_solve_without_each_buyer(data, node_budget):
         assert joint[buyer_id].optimal == alone.optimal
 
 
-def nodes_needed(instance):
-    """The least node budget at which ``solve_exact`` finishes on ``instance``."""
+def nodes_needed(instance, solve=solve_exact):
+    """The least node budget at which ``solve`` finishes on ``instance``."""
 
     def finishes(node_budget):
         try:
-            solve_exact(instance, node_budget=node_budget)
+            solve(instance, node_budget=node_budget)
         except SearchBudgetExceeded:
             return False
         return True
@@ -481,6 +544,11 @@ def nodes_needed(instance):
             low = middle + 1
     return low
 
+
+@settings(max_examples=100, deadline=None)
+@given(exact_instances())
+def test_exact_expands_as_many_nodes_as_the_list_oracle(instance):
+    assert nodes_needed(instance) == nodes_needed(instance, list_exact)
 
 def test_exact_without_prices_a_round_whose_solves_alone_each_fit(monkeypatch):
     # The budget is just enough for the largest solve without one winner;

@@ -9,9 +9,16 @@ density-greedy heuristic written with exact fractions, the reference
 that the integer ``solve_greedy`` must reproduce placement for
 placement.  ``list_exact`` is the branch and bound with per-dimension
 residual lists, the reference that the packed-integer ``solve_exact``
-must reproduce node for node.
+must reproduce node for node: it chooses the capacity multiplier
+(``capacity_multiplier``) and evaluates the capacity bound in exact
+fractions, where ``solve_exact`` scales both to integers.
+``plain_list_exact`` is the same search with only the
+partial-value-plus-remaining-bids cut, the search before the capacity
+bound; wherever it finishes within a node budget, ``solve_exact`` must
+finish within that budget with the same answer.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -78,12 +85,51 @@ def fraction_greedy(instance):
     return Assignment(tuple(pairs)), objective
 
 
+def capacity_multiplier(instance):
+    """``(k, lambda)`` of ``solve_exact``'s capacity bound in exact fractions, or None.
+
+    T_k is the total capacity in dimension k.  k is the dimension with
+    the largest total demand over T_k among those whose demand exceeds
+    T_k, a zero T_k counting as infinite and the lower k winning a tie.
+    lambda is a_c / d_c for the first bid c, by descending a / d_k over
+    the bids with d_k > 0, at which the running demand exceeds T_k.
+    None when no dimension's demand exceeds its total.
+    """
+    dim = instance.dimension
+    caps = list(instance.seller_caps.values())
+    totals = [sum(cap.units[k] for cap in caps) for k in range(dim)]
+    demanded = [sum(bid.demand.units[k] for bid in instance.bids) for k in range(dim)]
+    binding = [k for k in range(dim) if demanded[k] > totals[k]]
+    if not binding:
+        return None
+    k = max(binding, key=lambda j: Fraction(demanded[j], totals[j]) if totals[j] else math.inf)
+    positive = [bid for bid in instance.bids if bid.demand.units[k] > 0]
+    filled = 0
+    for bid in sorted(positive, key=lambda b: -Fraction(b.amount, b.demand.units[k])):
+        filled += bid.demand.units[k]
+        if filled > totals[k]:
+            return k, Fraction(bid.amount, bid.demand.units[k])
+    raise AssertionError("the demand in k exceeds T_k, so some bid crosses it")
+
+
 def list_exact(instance, node_budget):
     """``solve_exact``'s search with one residual list per seller.
 
-    Same branch order, bound and tie-break; raises SearchBudgetExceeded
-    carrying the plain incumbent, with no greedy floor.
+    Same branch order, both bounds and tie-break; the capacity bound is
+    evaluated in fractions, floor(v + lambda * R_k + sum of
+    max(0, a - lambda * d_k) over the remaining bids) with R_k summed
+    from the residual lists.  Raises SearchBudgetExceeded carrying the
+    plain incumbent, with no greedy floor.
     """
+    return _list_search(instance, node_budget, capacity_multiplier(instance))
+
+
+def plain_list_exact(instance, node_budget):
+    """``list_exact`` without the capacity bound: only v + remaining bids cuts."""
+    return _list_search(instance, node_budget, None)
+
+
+def _list_search(instance, node_budget, multiplier):
     bids = sorted(instance.bids, key=lambda b: b.buyer_id)
     n = len(bids)
     amounts = [b.amount for b in bids]
@@ -95,6 +141,12 @@ def list_exact(instance, node_budget):
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + amounts[i]
+    # rest[i]: the sum of max(0, a - lambda * d_row) over the bids from i on
+    row, lam = multiplier or (None, None)
+    rest = [Fraction(0)] * (n + 1)
+    if multiplier:
+        for i in range(n - 1, -1, -1):
+            rest[i] = rest[i + 1] + max(Fraction(0), amounts[i] - lam * demands[i][row])
 
     best_value = -1
     best_pairs = ()
@@ -106,12 +158,18 @@ def list_exact(instance, node_budget):
             return WdpSolution(Assignment(()), 0, False)
         return WdpSolution(Assignment(best_pairs), best_value, False)
 
+    def capacity_bound(i, value):
+        pooled = sum(room[row] for room in residual)
+        return math.floor(value + lam * pooled + rest[i])
+
     def descend(i, value):
         nonlocal best_value, best_pairs, nodes
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(node_budget, incumbent())
         if value + suffix[i] <= best_value:
+            return
+        if multiplier and capacity_bound(i, value) <= best_value:
             return
         if i == n:
             if value > best_value:
