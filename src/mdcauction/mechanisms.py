@@ -78,12 +78,7 @@ def adjust_bid(
 
 
 def _critical_payment(
-    instance: WdpInstance,
-    own: Bid,
-    solution: WdpSolution,
-    without: WdpSolution | None,
-    order: list[int],
-    key: list[float],
+    instance: WdpInstance, own: Bid, solution: WdpSolution, without: WdpSolution | None
 ) -> int:
     """Smallest own bid in [1, b_i] (milli granularity) at which the buyer still wins.
 
@@ -98,14 +93,14 @@ def _critical_payment(
     2001, one-parameter agents).  At x = t the two tie, and
     ``solve_exact`` returns the optimum its search reaches first: the
     least key, listing each buyer's seller id in buyer id order with
-    unassigned last.  ``order`` is the round's buyer ids in ascending
-    order and ``key`` is ``solution``'s key, built once per round.  For
-    t < b_i the optima containing i are the round's, the first being
-    ``solution``.  The first without i is ``without``: the joint search
-    keeps, for each winner, the first leaf in that same order that
-    leaves it unassigned and reaches the optimum without it (see
-    ``solve_exact_without``).  So i wins at t iff ``solution`` has the
-    lesser key.
+    unassigned last.  For t < b_i the optima containing i are the
+    round's, the first being ``solution``.  The first without i is
+    ``without``: the joint search keeps, for each winner, the first
+    leaf in that same order that leaves it unassigned and reaches the
+    optimum without it (see ``solve_exact_without``).  So i wins at t
+    iff ``solution`` has the lesser key.  Buyers that neither assigns
+    never differ, so the keys first differ at the least buyer id that
+    one of the two assigns and the other assigns elsewhere or not at all.
 
     A heuristic solver's objective is not OPT; greedy's threshold comes
     from one greedy pass without i instead (see ``greedy_threshold``),
@@ -121,8 +116,9 @@ def _critical_payment(
         return 1
     if threshold >= own.amount:
         return own.amount
-    theirs = dict(without.assignment)
-    first = key < [theirs.get(b, math.inf) for b in order]
+    mine, theirs = dict(solution.assignment), dict(without.assignment)
+    buyer = min(b for b in mine.keys() | theirs.keys() if mine.get(b) != theirs.get(b))
+    first = mine.get(buyer, math.inf) < theirs.get(buyer, math.inf)
     return threshold if first else threshold + 1
 
 
@@ -162,16 +158,11 @@ def run_srmra(
     if config.pricing == "first_price":
         payments = dict(winning_bids)
     else:
-        without, order, key = {}, [], []
+        without = {}
         if solution.optimal and winning_bids:
             without = solve_exact_without(instance, solution, winning_bids)
-            order = sorted(bid_of)
-            mine = dict(solution.assignment)
-            key = [mine.get(b, math.inf) for b in order]
         payments = {
-            buyer: _critical_payment(
-                instance, bid_of[buyer], solution, without.get(buyer), order, key
-            )
+            buyer: _critical_payment(instance, bid_of[buyer], solution, without.get(buyer))
             for buyer in winning_bids
         }
     outcome = RoundOutcome(

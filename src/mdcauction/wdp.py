@@ -90,8 +90,8 @@ class _JointSearchExhausted(Exception):
     """``solve_exact_without``'s search ran out of nodes."""
 
 
-def _packed(instance: WdpInstance, relax: bool = False):
-    """``(bids, amounts, guard, rooms, needs, choices, suffix, relaxed)``: the search state.
+def _packed(instance: WdpInstance):
+    """``(bids, amounts, guard, rooms, needs, choices, suffix)``: the exact searches' state.
 
     ``bids`` are in buyer id order and ``choices[i]`` lists
     ``(seller index, (buyer id, seller id))`` by ascending seller id;
@@ -108,21 +108,6 @@ def _packed(instance: WdpInstance, relax: bool = False):
     assigning it is that one subtraction (Lamport, "Multiple byte
     processing with full-word instructions", CACM 1975).  With no
     dimensions ``guard`` is 0 and every demand fits.
-
-    With ``relax``, ``relaxed = (base, scale, margins, rsum)`` is
-    ``solve_exact``'s Lagrangian bound on one pooled capacity row,
-    scaled to integers; without it, ``relaxed`` is None.
-    T_k is the sum of the sellers' capacities in dimension k.  Of the
-    dimensions whose total demand exceeds T_k, k is the one with the
-    largest total demand over T_k (the first on a tie; a zero T_k ranks
-    highest).  Walking the bids with a positive demand in k by
-    descending amount / demand, c is the first one whose demand no
-    longer fits in what is left of T_k; the multiplier is
-    lambda = a_c / d_c.  ``scale`` is d_c, ``base`` is a_c * T_k,
-    ``margins[i]`` is a_i * d_c - a_c * d_ik, and ``rsum[i]`` is the sum
-    of the positive margins from buyer i on.  When every dimension's
-    demand fits its total there is no multiplier: ``scale`` and
-    ``base`` are 0 and so are all margins.
     """
     bids = sorted(instance.bids, key=lambda b: b.buyer_id)
     n = len(bids)
@@ -143,9 +128,28 @@ def _packed(instance: WdpInstance, relax: bool = False):
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + amounts[i]
-    if not relax:
-        return bids, amounts, guard, rooms, needs, choices, suffix, None
+    return bids, amounts, guard, rooms, needs, choices, suffix
 
+
+def _relaxation(instance: WdpInstance, bids, amounts):
+    """``(base, scale, margins, rsum)``: ``solve_exact``'s Lagrangian bound on
+    one pooled capacity row, scaled to integers, for ``bids`` in buyer id order.
+
+    T_k is the sum of the sellers' capacities in dimension k.  Of the
+    dimensions whose total demand exceeds T_k, k is the one with the
+    largest total demand over T_k (the first on a tie; a zero T_k ranks
+    highest).  Walking the bids with a positive demand in k by
+    descending amount / demand, c is the first one whose demand no
+    longer fits in what is left of T_k; the multiplier is
+    lambda = a_c / d_c.  ``scale`` is d_c, ``base`` is a_c * T_k,
+    ``margins[i]`` is a_i * d_c - a_c * d_ik, and ``rsum[i]`` is the sum
+    of the positive margins from buyer i on.  When every dimension's
+    demand fits its total there is no multiplier: ``scale`` and
+    ``base`` are 0 and so are all margins.
+    """
+    n = len(bids)
+    demands = [b.demand.units for b in bids]
+    caps = [cap.units for cap in instance.seller_caps.values()]
     zeros = [0] * instance.dimension
     totals = [sum(column) for column in zip(*caps)] or zeros
     demanded = [sum(column) for column in zip(*demands)] or zeros
@@ -154,20 +158,18 @@ def _packed(instance: WdpInstance, relax: bool = False):
         if demand > total and (k is None or demand * totals[k] > demanded[k] * total):
             k = j
     if k is None:
-        relaxed = (0, 0, [0] * n, [0] * (n + 1))
-    else:
-        dense = [(amounts[i], d[k], i) for i, d in enumerate(demands) if d[k]]
-        dense.sort(key=cmp_to_key(_rank))
-        left = totals[k]
-        for price, scale, _i in dense:
-            left -= scale
-            if left < 0:
-                break
-        margins = [a * scale - price * d[k] for a, d in zip(amounts, demands)]
-        rsum = list(accumulate((m if m > 0 else 0 for m in reversed(margins)), initial=0))
-        rsum.reverse()
-        relaxed = (price * totals[k], scale, margins, rsum)
-    return bids, amounts, guard, rooms, needs, choices, suffix, relaxed
+        return 0, 0, [0] * n, [0] * (n + 1)
+    dense = [(amounts[i], d[k], i) for i, d in enumerate(demands) if d[k]]
+    dense.sort(key=cmp_to_key(_rank))
+    left = totals[k]
+    for price, scale, _i in dense:
+        left -= scale
+        if left < 0:
+            break
+    margins = [a * scale - price * d[k] for a, d in zip(amounts, demands)]
+    rsum = list(accumulate((m if m > 0 else 0 for m in reversed(margins)), initial=0))
+    rsum.reverse()
+    return price * totals[k], scale, margins, rsum
 
 
 def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> WdpSolution:
@@ -178,7 +180,7 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     unassigned.  A node at depth i with partial value v is cut by two
     admissible bounds.  One is v plus the sum of all remaining bids.
     The other relaxes one pooled capacity row, the dimension k chosen in
-    ``_packed``, with its multiplier lambda fixed at the root (Fisher,
+    ``_relaxation``, with its multiplier lambda fixed at the root (Fisher,
     "The Lagrangian relaxation method for solving integer programming
     problems", Management Science 1981): every leaf below is worth at
     most v + lambda * R_k + sum over i' >= i of
@@ -203,8 +205,8 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     expanded.  It carries the search's incumbent, or greedy's solution
     where that is strictly better; either way not proven optimal.
     """
-    bids, amounts, guard, rooms, needs, choices, suffix, relaxed = _packed(instance, relax=True)
-    base, scale, margins, rsum = relaxed
+    bids, amounts, guard, rooms, needs, choices, suffix = _packed(instance)
+    base, scale, margins, rsum = _relaxation(instance, bids, amounts)
     n = len(bids)
 
     best_value = -1
@@ -288,7 +290,7 @@ def solve_exact_without(
     results, and otherwise the first solve that runs out raises its
     SearchBudgetExceeded.
     """
-    bids, amounts, guard, rooms, needs, choices, suffix, _relaxed = _packed(instance)
+    bids, amounts, guard, rooms, needs, choices, suffix = _packed(instance)
     n = len(bids)
     position = {b.buyer_id: i for i, b in enumerate(bids)}
     tracked = tuple(sorted({position[buyer_id] for buyer_id in buyer_ids}))
