@@ -6,8 +6,9 @@ on one scenario), ``compare`` (paired multi-seed ensembles), ``gen``
 Outputs are deterministic given the input file and flags; the only
 wall-clock dependence is the optional timestamp header line, disabled
 with ``--no-header``.  Exit codes: 0 success, 1 expectation failure,
-2 input error, 3 run aborted (the exact solver's node budget ran out, or
-an internal invariant check failed).
+2 input error (a round past the exact solver's ``MAX_EXACT_BUYERS`` among
+them), 3 run aborted (the exact solver's node budget ran out, or an
+internal invariant check failed).
 """
 
 from __future__ import annotations

@@ -101,6 +101,13 @@ def _critical_payment(
     iff ``solution`` has the lesser key.  Buyers that neither assigns
     never differ, so the keys first differ at the least buyer id that
     one of the two assigns and the other assigns elsewhere or not at all.
+    Both pair lists are sorted by buyer id, so that is where the two
+    lists first differ, and comparing them as tuples settles it: at a
+    buyer both assign the lower seller comes first, and the list that
+    assigns a buyer the other leaves out comes first.  Neither list is a
+    prefix of the other here: ``solution``'s holds i and ``without``'s
+    does not, and were ``without``'s a prefix of ``solution``'s it would
+    be worth at most OPT - b_i, so t < 1.
 
     A heuristic solver's objective is not OPT; greedy's threshold comes
     from one greedy pass without i instead (see ``greedy_threshold``),
@@ -116,9 +123,7 @@ def _critical_payment(
         return 1
     if threshold >= own.amount:
         return own.amount
-    mine, theirs = dict(solution.assignment), dict(without.assignment)
-    buyer = min(b for b in mine.keys() | theirs.keys() if mine.get(b) != theirs.get(b))
-    first = mine.get(buyer, math.inf) < theirs.get(buyer, math.inf)
+    first = solution.assignment.pairs < without.assignment.pairs
     return threshold if first else threshold + 1
 
 

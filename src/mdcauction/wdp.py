@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import accumulate, chain
-from operator import mul, sub
+from operator import attrgetter, lshift, mul, sub
 
 from .errors import InvariantViolation, ValidationError
 from .model import Assignment, Bid, ResourceVector
 
 DEFAULT_NODE_BUDGET = 5_000_000
+# The exact searches recurse up to once per buyer, so a round they take on
+# must stay well inside Python's default recursion limit of 1000 frames.
+MAX_EXACT_BUYERS = 500
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,24 @@ class WdpInstance:
             return len(cap)
         return 0
 
+    @cached_property
+    def _setup(self):
+        """The exact searches' state, built once per instance: ``_packed``'s
+        seven items, then ``_relaxation``'s four.
+
+        A search writes only to ``rooms``, and works on its own copy of it:
+        one cut short by its node budget leaves its copy changed.  Raises
+        ValidationError past ``MAX_EXACT_BUYERS`` bids.
+        """
+        if len(self.bids) > MAX_EXACT_BUYERS:
+            raise ValidationError(
+                "bids",
+                f"{len(self.bids)} bids exceed the exact solver's limit of "
+                f"{MAX_EXACT_BUYERS} buyers a round; use the greedy solver",
+            )
+        packed = _packed(self)
+        return packed + _relaxation(self, packed[0], packed[1])
+
 
 @dataclass(frozen=True)
 class WdpSolution:
@@ -109,31 +130,29 @@ def _packed(instance: WdpInstance):
     processing with full-word instructions", CACM 1975).  With no
     dimensions ``guard`` is 0 and every demand fits.
     """
-    bids = sorted(instance.bids, key=lambda b: b.buyer_id)
-    n = len(bids)
+    bids = sorted(instance.bids, key=attrgetter("buyer_id"))
     amounts = [b.amount for b in bids]
     seller_ids = sorted(instance.seller_caps)
     caps = [instance.seller_caps[s].units for s in seller_ids]
     demands = [b.demand.units for b in bids]
     width = max(chain.from_iterable(caps + demands), default=0).bit_length() + 1
-
-    def pack(units) -> int:
-        return sum(q << (k * width) for k, q in enumerate(units))
-
-    guard = pack([1 << (width - 1)] * instance.dimension)
-    rooms = [guard + pack(cap) for cap in caps]
-    needs = [pack(d) for d in demands]
-    choices = [list(enumerate((b.buyer_id, s) for s in seller_ids)) for b in bids]
-
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + amounts[i]
+    shifts = range(0, instance.dimension * width, width)
+    guard = sum(1 << (shift + width - 1) for shift in shifts)
+    rooms = [guard + sum(map(lshift, cap, shifts)) for cap in caps]
+    needs = [sum(map(lshift, d, shifts)) for d in demands]
+    sellers = list(enumerate(seller_ids))
+    choices = [[(j, (b.buyer_id, s)) for j, s in sellers] for b in bids]
+    suffix = list(accumulate(reversed(amounts), initial=0))
+    suffix.reverse()
     return bids, amounts, guard, rooms, needs, choices, suffix
 
 
 def _relaxation(instance: WdpInstance, bids, amounts):
-    """``(base, scale, margins, rsum)``: ``solve_exact``'s Lagrangian bound on
-    one pooled capacity row, scaled to integers, for ``bids`` in buyer id order.
+    """``(base, scale, margins, rsum)``: the exact searches' Lagrangian bound
+    on one pooled capacity row, scaled to integers, for ``bids`` in buyer id
+    order.  ``solve_exact`` cuts by it as it is, and ``solve_exact_without``
+    per dropped buyer; any multiplier >= 0 bounds every feasible assignment
+    of the round, so it bounds the round without any of its buyers too.
 
     T_k is the sum of the sellers' capacities in dimension k.  Of the
     dimensions whose total demand exceeds T_k, k is the one with the
@@ -204,9 +223,12 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     Raises SearchBudgetExceeded if more than ``node_budget`` nodes are
     expanded.  It carries the search's incumbent, or greedy's solution
     where that is strictly better; either way not proven optimal.
+    Raises ValidationError past ``MAX_EXACT_BUYERS`` bids.
     """
-    bids, amounts, guard, rooms, needs, choices, suffix = _packed(instance)
-    base, scale, margins, rsum = _relaxation(instance, bids, amounts)
+    bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = (
+        instance._setup
+    )
+    rooms = list(rooms)
     n = len(bids)
 
     best_value = -1
@@ -273,98 +295,128 @@ def solve_exact_without(
     incumbent over those leaves, replaced only on strict improvement.
     It starts at ``solution.objective - b_w - 1``: ``solution`` without w
     is feasible and worth at least ``solution.objective - b_w``, so the
-    optimum without w beats the start.  A subtree is cut only when, for
-    every w left unassigned on its path, its partial value plus the
-    remaining bids, less b_w while w is undecided, is at most w's
-    incumbent.  That bounds every leaf of the subtree where w is
-    unassigned, so such a leaf is no better than the start or than a
-    leaf reached before it.  The first leaf worth the optimum without w
-    is therefore never cut and is the one kept: w's result is what
-    ``solve_exact`` returns without w, the same objective and the same
-    first optimum in search order, proven optimal.
+    optimum without w beats the start.
+
+    A subtree is cut only when no w left unassigned on its path or still
+    undecided can beat its incumbent there, by either of ``solve_exact``'s
+    two bounds on the leaves where w is unassigned.  One is the partial
+    value plus the remaining bids, less b_w while w is undecided.  The
+    other is ``solve_exact``'s capacity bound, with the round's multiplier
+    (see ``_relaxation``): in its scaled form ``base + reduced + rsum[i]``,
+    less w's margin, if positive, while w is undecided.  A cut subtree
+    holds no leaf without w better than w's start or than a leaf reached
+    before it.  The first leaf worth the optimum without w is therefore
+    never cut and is the one kept: w's result is what ``solve_exact``
+    returns without w, the same objective and the same first optimum in
+    search order, proven optimal.
 
     The joint search may expand ``node_budget`` nodes.  Past that, each
     w is solved alone by ``solve_exact`` with ``node_budget`` nodes of
     its own, in ``buyer_ids`` order, as if there were no joint search:
     a round whose solves alone each fit the budget still gets its
     results, and otherwise the first solve that runs out raises its
-    SearchBudgetExceeded.
+    SearchBudgetExceeded.  Raises ValidationError past
+    ``MAX_EXACT_BUYERS`` bids.
     """
-    bids, amounts, guard, rooms, needs, choices, suffix = _packed(instance)
+    bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = (
+        instance._setup
+    )
+    rooms = list(rooms)
     n = len(bids)
     position = {b.buyer_id: i for i, b in enumerate(bids)}
     tracked = tuple(sorted({position[buyer_id] for buyer_id in buyer_ids}))
-    # best[k]: buyer k's incumbent; bar[k] = best[k] + b_k, what the
-    # partial value plus the remaining bids must beat while k is undecided.
+    # best[k]: buyer k's incumbent.  A leaf without k beats it only if the
+    # node's partial value plus the remaining bids exceeds best[k] and its
+    # reduced + rsum[i] reaches lag[k] = (best[k] + 1) * scale - base; while
+    # k is undecided, only if they exceed bar[k] = best[k] + b_k and reach
+    # lag[k] + max(0, margins[k]).
     best = [0] * n
     bar = [0] * n
+    lag = [0] * n
     found: dict[int, tuple[tuple[int, int], ...]] = {}
     is_tracked = [False] * n
     for k in tracked:
         best[k] = solution.objective - amounts[k] - 1
         bar[k] = solution.objective - 1
+        lag[k] = (solution.objective - amounts[k]) * scale - base
         is_tracked[k] = True
     last = tracked[-1] if tracked else -1
-    # limit[i]: the least bar of the tracked buyers from depth i on, who
-    # are undecided at every node of that depth; suffix[0] if there are
-    # none, as no node's partial value plus remaining bids exceeds it.
+    gain = [m if m > 0 else 0 for m in margins]
+    # limit[i] and lag_limit[i]: the least bar and the least
+    # lag[k] + max(0, margins[k]) of the tracked buyers from depth i on, who
+    # are undecided at every node of that depth.  With none, suffix[0] and
+    # rsum[0] + 1, as no node's partial value plus remaining bids exceeds
+    # the one and no node's reduced + rsum[i] reaches the other.
     limit = [suffix[0]] * (n + 1)
+    lag_limit = [rsum[0] + 1] * (n + 1)
 
-    def refresh_limit() -> None:
+    def refresh_limits() -> None:
         low = suffix[0]
+        lag_low = rsum[0] + 1
         for k in range(n - 1, -1, -1):
-            if is_tracked[k] and bar[k] < low:
-                low = bar[k]
+            if is_tracked[k]:
+                if bar[k] < low:
+                    low = bar[k]
+                if lag[k] + gain[k] < lag_low:
+                    lag_low = lag[k] + gain[k]
             limit[k] = low
+            lag_limit[k] = lag_low
 
-    refresh_limit()
+    refresh_limits()
     chosen: list[tuple[int, int]] = []
     nodes = 0
 
-    def descend(i: int, value: int, decided: tuple) -> None:
+    def descend(i: int, value: int, reduced: int, decided: tuple) -> None:
         # decided: tracked buyers left unassigned above depth i.  Tracked
         # buyers assigned on this path are not in it, as no leaf below
-        # counts for them.
+        # counts for them.  Each pass of the loop is one node; the next
+        # pass is its last child, where buyer i is left unassigned.
         nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise _JointSearchExhausted
-        total = value + suffix[i]
-        if total <= limit[i]:
-            for k in decided:
-                if total > best[k]:
-                    break
-            else:
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                raise _JointSearchExhausted
+            total = value + suffix[i]
+            relaxed = reduced + rsum[i]
+            if total <= limit[i] or relaxed < lag_limit[i]:
+                for k in decided:
+                    if total > best[k] and relaxed >= lag[k]:
+                        break
+                else:
+                    return
+            if i == n:
+                improved = False
+                for k in decided:
+                    if value > best[k]:
+                        best[k] = value
+                        bar[k] = value + amounts[k]
+                        lag[k] = (value + 1) * scale - base
+                        found[k] = tuple(chosen)
+                        improved = True
+                if improved:
+                    refresh_limits()
                 return
-        if i == n:
-            improved = False
-            for k in decided:
-                if value > best[k]:
-                    best[k] = value
-                    bar[k] = value + amounts[k]
-                    found[k] = tuple(chosen)
-                    improved = True
-            if improved:
-                refresh_limit()
-            return
-        # Assigning i counts only for a tracked buyer still open: one left
-        # unassigned above, or one after i.
-        if decided or i < last:
-            need = needs[i]
-            taken = value + amounts[i]
-            for j, pair in choices[i]:
-                room = rooms[j]
-                left = room - need
-                if left & guard == guard:
-                    rooms[j] = left
-                    chosen.append(pair)
-                    descend(i + 1, taken, decided)
-                    chosen.pop()
-                    rooms[j] = room
-        descend(i + 1, value, decided + (i,) if is_tracked[i] else decided)
+            # Assigning i counts only for a tracked buyer still open: one left
+            # unassigned above, or one after i.
+            if decided or i < last:
+                need = needs[i]
+                taken = value + amounts[i]
+                reduced_taken = reduced + margins[i]
+                for j, pair in choices[i]:
+                    room = rooms[j]
+                    left = room - need
+                    if left & guard == guard:
+                        rooms[j] = left
+                        chosen.append(pair)
+                        descend(i + 1, taken, reduced_taken, decided)
+                        chosen.pop()
+                        rooms[j] = room
+            if is_tracked[i]:
+                decided += (i,)
+            i += 1
 
     try:
-        descend(0, 0, ())
+        descend(0, 0, 0, ())
     except _JointSearchExhausted:
         alone = {}
         for w in buyer_ids:

@@ -209,6 +209,25 @@ class TestRunCommand:
         assert done.returncode == 2, done.stderr
         assert "mechanism.gamma" in done.stderr
 
+    def test_round_past_the_exact_buyer_cap_exits_2(self, tmp_path):
+        # The exact searches recurse up to once per buyer; 1100 bidders once ran
+        # past Python's recursion limit and printed a traceback.
+        params = tmp_path / "crowd.json"
+        params.write_text(json.dumps({
+            "n_buyers": 1100, "m_sellers": 1, "horizon": 1, "dimensions": 1,
+            "capacity_range": [1, 1], "demand_range": [1, 1],
+        }))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "mdcauction", "compare", str(params), "--seeds", "1",
+             "--mechanisms", "repeated_srmra", "--no-header"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: bids: 1100 bids exceed")
+        assert done.stderr.count("\n") == 1
+
     @pytest.mark.parametrize(
         "error, words",
         [

@@ -13,6 +13,7 @@ without the winner.
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,12 +24,16 @@ from mdcauction import (
     AuctionLedger,
     Bid,
     Buyer,
+    GeneratorParams,
     MechanismConfig,
     ResourceVector,
     SearchBudgetExceeded,
     Seller,
+    generate_scenario,
     mechanisms,
+    run_mafl,
     run_srmra,
+    wdp,
 )
 from mdcauction.cli import main
 from mdcauction.wdp import WdpInstance, solve_exact, solve_exact_without, solve_greedy
@@ -131,6 +136,25 @@ def test_exact_pricing_searches_once_per_round(monkeypatch):
     assert winners > 200
     # Thresholds strictly inside (1, b_i) are where a tie has to be settled.
     assert inside > 50
+
+
+def test_exact_pricing_packs_each_round_once(monkeypatch):
+    # The round solve and the joint search read one setup of the round.
+    packed = []
+
+    def counting(instance):
+        packed.append(instance)
+        return pack(instance)
+
+    pack = wdp._packed
+    monkeypatch.setattr(wdp, "_packed", counting)
+    params = GeneratorParams(n_buyers=10, m_sellers=1, horizon=20, seed=101)
+    scenario = replace(
+        generate_scenario(params), mechanism=MechanismConfig(pricing="critical_value")
+    )
+    result = run_mafl(scenario)
+    assert len(packed) == len(result.rounds) == 20
+    assert sum(len(outcome.payments) for outcome in result.rounds) > 20
 
 
 @pytest.mark.parametrize(

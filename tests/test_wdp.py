@@ -12,6 +12,7 @@ from mdcauction import (
     SearchBudgetExceeded,
     ValidationError,
     WdpInstance,
+    WdpSolution,
     generate_scenario,
     solve_exact,
     solve_greedy,
@@ -581,3 +582,67 @@ def test_exact_without_prices_a_round_whose_solves_alone_each_fit(monkeypatch):
         assert calls in ([], [budget] * len(winners)), seed
         fell_back += bool(calls)
     assert fell_back >= 10
+
+
+def test_the_capacity_bound_prices_the_14_by_2_round_at_seed_6_in_one_joint_search(monkeypatch):
+    # With the capacity bound the joint search finishes in 11 587 nodes;
+    # without it, it needs 71 599 and each winner is solved alone.
+    scenario = generate_scenario(GeneratorParams(n_buyers=14, m_sellers=2, horizon=1, seed=6))
+    instance = WdpInstance(
+        tuple(row[0] for row in scenario.bid_matrix),
+        {s.id: s.round_capacity for s in scenario.sellers},
+    )
+    solution = solve_exact(instance)
+    winners = [buyer_id for buyer_id, _ in solution.assignment.pairs]
+    expected = solves_alone(instance, winners)
+
+    def alone(instance, node_budget):
+        raise AssertionError("the joint search ran out of nodes")
+
+    monkeypatch.setattr(wdp, "solve_exact", alone)
+    joint = solve_exact_without(instance, solution, winners, node_budget=20_000)
+    assert joint == expected
+    assert solution.objective == 159_000
+    assert [joint[w].objective for w in winners] == [
+        154_000, 151_000, 154_000, 149_000, 149_000, 148_000, 152_000, 157_000, 148_000, 157_000
+    ]
+
+
+def test_a_search_cut_short_leaves_the_instance_as_it_was():
+    # Each search works on its own copy of the instance's packed residuals.
+    joint_cut_short = 0
+    for seed in range(40):
+        instance = make_instance(*random_unit_instance(seed))
+        fresh = WdpInstance(instance.bids, instance.seller_caps)
+        with pytest.raises(SearchBudgetExceeded):
+            solve_exact(instance, node_budget=1)
+        solution = solve_exact(instance)
+        assert solution == solve_exact(fresh), seed
+        winners = [buyer_id for buyer_id, _ in solution.assignment.pairs]
+        try:
+            solve_exact_without(instance, solution, winners, node_budget=1)
+        except SearchBudgetExceeded:
+            joint_cut_short += 1
+        assert solve_exact(instance) == solution, seed
+        assert solve_exact_without(instance, solution, winners) == solve_exact_without(
+            fresh, solution, winners
+        ), seed
+    assert joint_cut_short > 20
+
+
+def test_a_round_at_the_exact_buyer_cap_solves():
+    # Every bid fits, so both searches first go one level deeper per buyer.
+    n = wdp.MAX_EXACT_BUYERS
+    bids = tuple(Bid(i, 5, ResourceVector((1,))) for i in range(n + 1))
+    caps = {0: ResourceVector((n + 1,))}
+    instance = WdpInstance(bids[:-1], caps)
+    solution = solve_exact(instance)
+    assert solution == WdpSolution(Assignment(tuple((i, 0) for i in range(n))), 5 * n, True)
+    without_first = solve_exact_without(instance, solution, [0])
+    others = tuple((i, 0) for i in range(1, n))
+    assert without_first == {0: WdpSolution(Assignment(others), 5 * (n - 1), True)}
+    crowded = WdpInstance(bids, caps)
+    with pytest.raises(ValidationError, match="limit of 500 buyers"):
+        solve_exact(crowded)
+    with pytest.raises(ValidationError, match="limit of 500 buyers"):
+        solve_exact_without(crowded, solution, [0])
