@@ -29,7 +29,7 @@ from .model import (
     Seller,
 )
 from .money import SCALE, format_milli, to_milli
-from .scenario import GeneratorParams, MechanismConfig, Scenario, new_ledger
+from .scenario import GeneratorParams, MechanismConfig, Scenario
 from .simlab import (
     ComparisonReport,
     EvaluationResult,
@@ -39,7 +39,6 @@ from .simlab import (
     compute_metrics,
     evaluate,
     generate_scenario,
-    materialize,
 )
 from .wdp import (
     SearchBudgetExceeded,
@@ -79,8 +78,6 @@ __all__ = [
     "evaluate",
     "format_milli",
     "generate_scenario",
-    "materialize",
-    "new_ledger",
     "replay",
     "run_double_auction",
     "run_mafl",

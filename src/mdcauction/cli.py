@@ -2,7 +2,7 @@
 
 Commands: ``replay`` (worked-example fixtures), ``run`` (one mechanism
 on one scenario), ``compare`` (paired multi-seed ensembles), ``gen``
-(materialize or pin a generator scenario), ``validate`` (schema check).
+(write a generator block or its draw), ``validate`` (schema check).
 Outputs are deterministic given the input file and flags; the only
 wall-clock dependence is the optional timestamp header line, disabled
 with ``--no-header``.  Exit codes: 0 success, 1 expectation failure,
@@ -14,6 +14,7 @@ internal invariant check failed).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -25,7 +26,7 @@ from .mechanisms import replay
 from .money import format_milli, to_milli
 from .rng import GENERATOR_NAME
 from .scenario import SOLVERS, MechanismConfig, Scenario
-from .simlab import MECHANISMS, MechanismSpec, compare, evaluate, materialize
+from .simlab import MECHANISMS, MechanismSpec, compare, evaluate, generate_scenario
 from .wdp import SearchBudgetExceeded
 
 
@@ -100,13 +101,17 @@ def cmd_replay(args) -> int:
 
 
 def cmd_run(args) -> int:
-    scenario = io.parse_scenario(io.load_json(_resolve_input(args.scenario, "scenario")))
-    scenario = scenario.with_mechanism(_mechanism_override(scenario.mechanism, args))
-    if args.seed is not None:
-        if scenario.generator is None:
+    parsed = io.parse_scenario(io.load_json(_resolve_input(args.scenario, "scenario")))
+    if isinstance(parsed, Scenario):
+        scenario = parsed.with_mechanism(_mechanism_override(parsed.mechanism, args))
+        if args.seed is not None:
             raise ValidationError("--seed", "scenario has explicit bids; a seed cannot apply")
-        scenario = replace(scenario, generator=replace(scenario.generator, seed=args.seed))
-    scenario = materialize(scenario)
+    else:
+        params, mechanism = parsed
+        mechanism = _mechanism_override(mechanism or MechanismConfig(), args)
+        if args.seed is not None:
+            params = replace(params, seed=args.seed)
+        scenario = generate_scenario(params, mechanism)
     evaluation = evaluate(scenario, args.mechanism)
 
     print(f"scenario: {args.scenario}")
@@ -170,17 +175,11 @@ def cmd_gen(args) -> int:
     )
     if args.seed is not None:
         params = replace(params, seed=args.seed)
-    scenario = Scenario(
-        buyers=(),
-        sellers=(),
-        horizon=params.horizon,
-        dimensions=params.dimensions,
-        generator=params,
-        mechanism=mechanism or MechanismConfig(),
-    )
     if args.materialize:
-        scenario = materialize(scenario)
-    text = io.dump_json(io.scenario_to_doc(scenario, materialize=args.materialize))
+        doc = io.scenario_to_doc(generate_scenario(params, mechanism))
+    else:
+        doc = io.generator_to_doc(params, mechanism or MechanismConfig())
+    text = io.dump_json(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -202,6 +201,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdcauction",

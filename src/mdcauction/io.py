@@ -139,44 +139,40 @@ def parse_generator(doc: dict, prefix: str = "generator.") -> GeneratorParams:
     return GeneratorParams(**kwargs)
 
 
+def _mechanism_block(doc: dict) -> MechanismConfig | None:
+    if "mechanism" not in doc:
+        return None
+    if not isinstance(doc["mechanism"], dict):
+        raise ValidationError("mechanism", "expected an object")
+    return parse_mechanism(doc["mechanism"])
+
+
 def parse_params_file(doc: dict) -> tuple[GeneratorParams, MechanismConfig | None]:
     """Parse a generator-params file; may carry a mechanism block."""
-    mechanism = None
-    if "mechanism" in doc:
-        block = doc["mechanism"]
-        if not isinstance(block, dict):
-            raise ValidationError("mechanism", "expected an object")
-        mechanism = parse_mechanism(block)
-        doc = {k: v for k, v in doc.items() if k != "mechanism"}
-    return parse_generator(doc, prefix=""), mechanism
+    mechanism = _mechanism_block(doc)
+    params = parse_generator({k: v for k, v in doc.items() if k != "mechanism"}, prefix="")
+    return params, mechanism
 
 
 _SCENARIO_KEYS = {"buyers", "sellers", "horizon", "dimensions", "bids", "generator", "mechanism"}
 
 
-def parse_scenario(doc: dict) -> Scenario:
-    _reject_unknown(doc, _SCENARIO_KEYS, "scenario.")
-    mechanism = MechanismConfig()
-    if "mechanism" in doc:
-        if not isinstance(doc["mechanism"], dict):
-            raise ValidationError("mechanism", "expected an object")
-        mechanism = parse_mechanism(doc["mechanism"])
+def parse_scenario(doc: dict) -> Scenario | tuple[GeneratorParams, MechanismConfig | None]:
+    """Parse a scenario file.
 
+    A file with a ``generator`` block parses to the same
+    ``(params, mechanism)`` pair as ``parse_params_file``;
+    ``simlab.generate_scenario`` draws the scenario from it.
+    """
+    _reject_unknown(doc, _SCENARIO_KEYS, "scenario.")
+    mechanism = _mechanism_block(doc)
     if "generator" in doc:
         if not isinstance(doc["generator"], dict):
             raise ValidationError("generator", "expected an object")
         for key in ("buyers", "sellers", "bids", "horizon", "dimensions"):
             if key in doc:
                 raise ValidationError(key, "must be omitted when a generator is present")
-        params = parse_generator(doc["generator"])
-        return Scenario(
-            buyers=(),
-            sellers=(),
-            horizon=params.horizon,
-            dimensions=params.dimensions,
-            generator=params,
-            mechanism=mechanism,
-        )
+        return parse_generator(doc["generator"]), mechanism
 
     buyers_doc = _require(doc, "buyers", "scenario.")
     sellers_doc = _require(doc, "sellers", "scenario.")
@@ -226,8 +222,6 @@ def parse_scenario(doc: dict) -> Scenario:
         buyers.append(Buyer(buyer_id, budget))
 
     matrix = []
-    if len(bids_doc) != len(buyers):
-        raise ValidationError("bids", f"expected {len(buyers)} rows, got {len(bids_doc)}")
     for i, row in enumerate(bids_doc):
         if not isinstance(row, list):
             raise ValidationError(f"bids[{i}]", "expected an array of per-round bids")
@@ -250,7 +244,7 @@ def parse_scenario(doc: dict) -> Scenario:
         horizon=horizon,
         dimensions=dimensions if dimensions is not None else 3,
         bid_matrix=tuple(matrix),
-        mechanism=mechanism,
+        mechanism=mechanism or MechanismConfig(),
     )
 
 
@@ -276,24 +270,20 @@ def _milli_to_json(amount: int):
     return float(format_milli(amount))
 
 
-def scenario_to_doc(scenario: Scenario, materialize: bool = False) -> dict:
-    """JSON-ready form of a scenario.
+def generator_to_doc(params: GeneratorParams, mechanism: MechanismConfig) -> dict:
+    """JSON-ready scenario file that pins a generator block rather than its draw."""
+    generator = {
+        k: list(v) if isinstance(v, tuple) else v for k, v in asdict(params).items() if v is not None
+    }
+    return {"generator": generator, "mechanism": asdict(mechanism)}
 
-    Generator scenarios round-trip as their generator block unless
-    ``materialize`` is set, in which case the concrete draw is written
-    out; such a file replays verbatim (the bids are no longer treated
-    as adjustable valuations when reloaded).
+
+def scenario_to_doc(scenario: Scenario) -> dict:
+    """JSON-ready form of a scenario, written as an explicit bid matrix.
+
+    Such a file replays verbatim: reloaded bids are no longer treated
+    as adjustable valuations, even when the scenario was generated.
     """
-    mechanism = asdict(scenario.mechanism)
-    if scenario.generator is not None and not materialize:
-        generator = {
-            k: list(v) if isinstance(v, tuple) else v
-            for k, v in asdict(scenario.generator).items()
-            if v is not None
-        }
-        return {"generator": generator, "mechanism": mechanism}
-    if not scenario.materialized:
-        raise ValidationError("scenario", "cannot materialize without running the generator")
     sellers = []
     for seller in scenario.sellers:
         entry = {
@@ -320,7 +310,7 @@ def scenario_to_doc(scenario: Scenario, materialize: bool = False) -> dict:
             ]
             for row in scenario.bid_matrix
         ],
-        "mechanism": mechanism,
+        "mechanism": asdict(scenario.mechanism),
     }
 
 

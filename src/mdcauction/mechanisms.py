@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .model import Assignment, AuctionLedger, Bid, Buyer, ResourceVector, RoundOutcome, Seller
 from .money import SCALE, scale_by_ratio_pow, to_milli
-from .scenario import MechanismConfig, Scenario, new_ledger
+from .scenario import MechanismConfig, Scenario
 from .wdp import (
     WdpInstance,
     WdpSolution,
@@ -143,12 +143,7 @@ def run_srmra(
     solves the round without each winner.  The outcome is round
     ``len(ledger.history) + 1``.
     """
-    dimension = len(sellers[0].round_capacity) if sellers else None
     for bid in bids:
-        if dimension is not None and len(bid.demand) != dimension:
-            raise ValidationError(
-                f"bids[{bid.buyer_id}].demand", "dimension differs from seller capacities"
-            )
         if bid.amount > ledger.remaining_budget.get(bid.buyer_id, 0):
             raise ValidationError(
                 f"bids[{bid.buyer_id}].amount", "exceeds the buyer's remaining budget"
@@ -190,7 +185,7 @@ def _run(scenario: Scenario, clear, adjust: bool = False) -> AuctionResult:
     ``run_srmra``, clears the round, charges the ledger and returns the
     outcome.
     """
-    ledger = new_ledger(scenario)
+    ledger = AuctionLedger.new(scenario.buyers, scenario.sellers)
     previous_winners: set[int] = set()
     for column in range(scenario.horizon):
         round_bids = []

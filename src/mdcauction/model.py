@@ -24,8 +24,10 @@ class ResourceVector:
     units: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "units", tuple(int(u) for u in self.units))
+        object.__setattr__(self, "units", tuple(self.units))
         for k, u in enumerate(self.units):
+            if type(u) is not int:  # bool too: a quantity is never truncated
+                raise ValidationError(f"quantity[{k}]", f"must be an integer, got {u!r}")
             if u < 0:
                 raise ValidationError(f"quantity[{k}]", "must be >= 0")
 

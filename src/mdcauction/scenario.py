@@ -1,10 +1,10 @@
-"""Scenario definition: participants, horizon, bid source, mechanism settings.
+"""Scenario definition: participants, horizon, bid matrix, mechanism settings.
 
-A scenario either carries an explicit bid matrix or generator
-parameters, never both as independent inputs.  Explicit matrices are
-strategic trajectories and are taken verbatim by every mechanism;
-generated matrices are per-round true valuations that budget-aware
-mechanisms may adjust (``bids_are_valuations``).
+A scenario is always concrete: buyers, sellers and one bid per buyer
+per round.  Explicit matrices are strategic trajectories and are taken
+verbatim by every mechanism; matrices drawn by
+``simlab.generate_scenario`` are per-round true valuations that
+budget-aware mechanisms may adjust (``bids_are_valuations``).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
-from .model import AuctionLedger, Bid, Buyer, Seller
+from .model import Bid, Buyer, Seller
 
 SOLVERS = ("exact", "greedy")
 PRICING_MODES = ("first_price", "critical_value")
@@ -62,8 +62,8 @@ def _check_range(name: str, rng: tuple[int, int]) -> tuple[int, int]:
 class GeneratorParams:
     """Uniform-integer workload generator settings.
 
-    All ranges are inclusive bounds in whole units (converted to
-    milli-units when the scenario is materialized).  Budgets and seller
+    All ranges are inclusive bounds in whole units, converted to
+    milli-units by ``simlab.generate_scenario``.  Budgets and seller
     properties are drawn once; bid amounts and demands are drawn per
     buyer per round.
     """
@@ -106,20 +106,18 @@ class GeneratorParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A full experiment input.
+    """A full experiment input, and the one place its facts are checked.
 
-    Either materialized (concrete buyers, sellers and bid matrix, with
-    ``generator`` kept only as provenance) or pending generation
-    (``bid_matrix`` is None and ``generator`` holds the parameters).
     ``bid_matrix[i][l-1]`` is buyer i's bid for round l; the bids
-    themselves carry no round index.
+    themselves carry no round index.  ``generator`` is provenance only:
+    the parameters ``simlab.generate_scenario`` drew this scenario from.
     """
 
     buyers: tuple[Buyer, ...]
     sellers: tuple[Seller, ...]
     horizon: int
     dimensions: int
-    bid_matrix: tuple[tuple[Bid, ...], ...] | None = None
+    bid_matrix: tuple[tuple[Bid, ...], ...]
     generator: GeneratorParams | None = None
     mechanism: MechanismConfig = MechanismConfig()
     bids_are_valuations: bool = False
@@ -144,14 +142,6 @@ class Scenario:
                     f"sellers[{position}].round_capacity",
                     f"expected {self.dimensions} components, got {len(seller.round_capacity)}",
                 )
-        if self.bid_matrix is None:
-            if self.generator is None:
-                raise ValidationError("bids", "either an explicit bid matrix or a generator is required")
-            if self.buyers or self.sellers:
-                raise ValidationError(
-                    "buyers", "must be omitted when a generator drives the scenario"
-                )
-            return
         if len(self.bid_matrix) != len(self.buyers):
             raise ValidationError(
                 "bids", f"expected {len(self.buyers)} rows, got {len(self.bid_matrix)}"
@@ -170,16 +160,6 @@ class Scenario:
                         f"expected {self.dimensions} components, got {len(bid.demand)}",
                     )
 
-    @property
-    def materialized(self) -> bool:
-        return self.bid_matrix is not None
-
     def with_mechanism(self, mechanism: MechanismConfig) -> "Scenario":
         return replace(self, mechanism=mechanism)
 
-
-def new_ledger(scenario: Scenario):
-    """Fresh ledger for a materialized scenario: full budgets, full period capacity."""
-    if not scenario.materialized:
-        raise ValidationError("scenario", "cannot open a ledger before the generator runs")
-    return AuctionLedger.new(scenario.buyers, scenario.sellers)

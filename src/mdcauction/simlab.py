@@ -33,7 +33,7 @@ MECHANISMS = {
 def generate_scenario(
     params: GeneratorParams, mechanism: MechanismConfig | None = None
 ) -> Scenario:
-    """Materialize a concrete scenario from generator parameters.
+    """Draw a concrete scenario from generator parameters.
 
     The draw order is part of the determinism contract: buyer budgets
     first (by buyer), then each seller's round capacity per dimension,
@@ -80,13 +80,6 @@ def generate_scenario(
         mechanism=mechanism or MechanismConfig(),
         bids_are_valuations=True,
     )
-
-
-def materialize(scenario: Scenario) -> Scenario:
-    """Run the generator if the scenario still carries one; no-op otherwise."""
-    if scenario.materialized:
-        return scenario
-    return generate_scenario(scenario.generator, scenario.mechanism)
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,6 @@ def evaluate(scenario: Scenario, mechanism: str) -> EvaluationResult:
         raise ValidationError(
             "mechanism", f"unknown mechanism {mechanism!r}; expected one of {sorted(MECHANISMS)}"
         )
-    scenario = materialize(scenario)
     result = MECHANISMS[mechanism](scenario)
     return EvaluationResult(result, compute_metrics(result))
 

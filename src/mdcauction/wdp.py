@@ -40,8 +40,16 @@ class WdpInstance:
     def __post_init__(self):
         object.__setattr__(self, "bids", tuple(self.bids))
         object.__setattr__(self, "seller_caps", dict(self.seller_caps))
-        seen = set()
+        # The capacities fix the dimension first, so a bad bid is the one reported.
         dimension = None
+        for seller_id, cap in self.seller_caps.items():
+            if dimension is None:
+                dimension = len(cap)
+            elif len(cap) != dimension:
+                raise ValidationError(
+                    f"seller_caps[{seller_id}]", "inconsistent resource dimension"
+                )
+        seen = set()
         for bid in self.bids:
             if bid.buyer_id in seen:
                 raise ValidationError("bids", f"buyer {bid.buyer_id} bids twice")
@@ -51,13 +59,6 @@ class WdpInstance:
             elif len(bid.demand) != dimension:
                 raise ValidationError(
                     f"bids[{bid.buyer_id}].demand", "inconsistent resource dimension"
-                )
-        for seller_id, cap in self.seller_caps.items():
-            if dimension is None:
-                dimension = len(cap)
-            elif len(cap) != dimension:
-                raise ValidationError(
-                    f"seller_caps[{seller_id}]", "inconsistent resource dimension"
                 )
 
     @property

@@ -5,7 +5,13 @@ import sys
 
 import pytest
 
-from mdcauction import InvariantViolation, SearchBudgetExceeded, ValidationError, mechanisms
+from mdcauction import (
+    InvariantViolation,
+    MechanismConfig,
+    SearchBudgetExceeded,
+    ValidationError,
+    mechanisms,
+)
 from mdcauction.cli import main
 from mdcauction.io import (
     detect_kind,
@@ -85,6 +91,22 @@ class TestSchemas:
             {"budgets": [15, 9, 10], "bids": [[1], [2], [3]], "items_per_round": 2}
         )
         assert items == 2
+
+    def test_extra_bid_rows_named_once(self):
+        doc = json.loads(json.dumps(TABLE1_SCENARIO))
+        doc["bids"].append(doc["bids"][0])
+        with pytest.raises(ValidationError, match=r"^bids: expected 3 rows, got 4$"):
+            parse_scenario(doc)
+
+    def test_generator_block_parses_like_a_params_file(self):
+        mechanism = {"solver": "greedy", "gamma": 0.5}
+        flat = parse_params_file(dict(SMALL_PARAMS, mechanism=mechanism))
+        assert parse_scenario({"generator": SMALL_PARAMS, "mechanism": mechanism}) == flat
+        assert parse_scenario({"generator": SMALL_PARAMS}) == parse_params_file(SMALL_PARAMS)
+
+    def test_generator_errors_keep_the_block_prefix(self):
+        with pytest.raises(ValidationError, match=r"^generator\.horizon: required"):
+            parse_scenario({"generator": {"n_buyers": 2, "m_sellers": 1}})
 
     def test_params_with_mechanism_block(self):
         params, mechanism = parse_params_file(
@@ -302,6 +324,12 @@ class TestGenCommand:
         assert doc["generator"]["seed"] == 99
         assert "bids" not in doc
 
+    def test_pinned_block_reads_back_as_the_params(self, params_path, tmp_path):
+        out = tmp_path / "scenario.json"
+        assert main(["gen", str(params_path), "--out", str(out)]) == 0
+        params, _ = parse_params_file(SMALL_PARAMS)
+        assert parse_scenario(json.loads(out.read_text())) == (params, MechanismConfig())
+
     def test_gen_is_deterministic(self, params_path, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -327,6 +355,18 @@ class TestValidateCommand:
         assert "ok: scenario" in capsys.readouterr().out
         assert main(["validate", str(params_path)]) == 0
         assert "ok: params" in capsys.readouterr().out
+
+    def test_extra_bid_rows_exit_2(self, tmp_path, capsys):
+        doc = {
+            "horizon": 1,
+            "buyers": [{"id": 0, "budget": 5}],
+            "sellers": [{"id": 0, "round_capacity": [2]}],
+            "bids": [[{"amount": 1, "demand": [1]}], [{"amount": 2, "demand": [1]}]],
+        }
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: bids: expected 1 rows, got 2\n"
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

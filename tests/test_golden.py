@@ -2,9 +2,8 @@
 
 Every run is written with ``--no-header`` so no timestamp enters the
 files.  A refactor that claims unchanged behaviour must leave each of
-these byte for byte as recorded.  ``gen`` output is not pinned: it
-echoes the mechanism block, whose fields may change without any run
-changing.
+these byte for byte as recorded.  ``gen`` takes no ``--no-header`` (it
+writes no header), so its pinned stdout has a test of its own.
 """
 
 import json
@@ -64,6 +63,10 @@ CASES = {
     ),
     "replay_table2": (["replay", "table2", "--baseline", "table1", "--out", "out.csv"], "out.csv"),
     "run_mafl": (["run", "scenario.json", "--mechanism", "mafl", "--out", "out.csv"], "out.csv"),
+    "run_generator_seed": (
+        ["run", "generator.json", "--mechanism", "mafl", "--seed", "7", "--out", "out.csv"],
+        "out.csv",
+    ),
 }
 
 
@@ -73,6 +76,7 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
     (tmp_path / "cv-default.json").write_text(json.dumps(CV_PARAMS))
     (tmp_path / "cv-sellers.json").write_text(json.dumps(CV_SELLERS_PARAMS))
     assert main(["gen", "default", "--materialize", "--out", "scenario.json"]) == 0
+    assert main(["gen", "default", "--out", "generator.json"]) == 0
     argv, written = CASES[name]
     capsys.readouterr()
     assert main(argv + ["--no-header"]) == 0
@@ -80,3 +84,8 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
     assert stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     csv = (tmp_path / written).read_text(encoding="utf-8")
     assert csv == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+def test_golden_gen(capsys):
+    assert main(["gen", "default", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "gen_default.json").read_text(encoding="utf-8")

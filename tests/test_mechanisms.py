@@ -16,7 +16,6 @@ from mdcauction import (
     ValidationError,
     adjust_bid,
     generate_scenario,
-    new_ledger,
     replay,
     run_double_auction,
     run_mafl,
@@ -254,7 +253,7 @@ class TestMafl:
         params = GeneratorParams(n_buyers=5, m_sellers=1, horizon=1, seed=9)
         scenario = generate_scenario(params, MechanismConfig(gamma=1.0))
         result = run_mafl(scenario)
-        ledger = new_ledger(scenario)
+        ledger = AuctionLedger.new(scenario.buyers, scenario.sellers)
         bids = [
             Bid(b.id, min(scenario.bid_matrix[b.id][0].amount, b.budget),
                 scenario.bid_matrix[b.id][0].demand)

@@ -9,7 +9,6 @@ from mdcauction import (
     RoundOutcome,
     Seller,
     ValidationError,
-    new_ledger,
 )
 from helpers import table_scenario, TABLE1_BIDS, TABLE_BUDGETS, TABLE_ITEMS
 
@@ -32,6 +31,11 @@ class TestResourceVector:
     def test_rejects_negative_components(self):
         with pytest.raises(ValidationError, match="quantity"):
             ResourceVector((1, -2))
+
+    @pytest.mark.parametrize("units, k", [((1.9,), 0), ((1000, True), 1), ((1, 2, "7"), 2)])
+    def test_rejects_non_integer_components(self, units, k):
+        with pytest.raises(ValidationError, match=rf"quantity\[{k}\]: must be an integer"):
+            ResourceVector(units)
 
     def test_componentwise_arithmetic(self):
         assert rv(3, 3) - rv(2, 1) == rv(1, 2)
@@ -75,7 +79,7 @@ class TestRoundOutcome:
 class TestLedger:
     def test_new_ledger_mirrors_scenario(self):
         scenario = table_scenario(TABLE1_BIDS, TABLE_BUDGETS, TABLE_ITEMS)
-        ledger = new_ledger(scenario)
+        ledger = AuctionLedger.new(scenario.buyers, scenario.sellers)
         assert ledger.remaining_budget == {0: 15000, 1: 9000, 2: 10000}
         assert ledger.remaining_period_capacity == {0: None}
         assert ledger.history == []

@@ -185,6 +185,13 @@ class TestCheckFeasible:
                 {0: ResourceVector((2000,))},
             )
 
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_wrong_length_demand_is_named_against_the_capacities(self, bad):
+        demands = [(1,), (1,), (1,)]
+        demands[bad] = (1, 1)
+        with pytest.raises(ValidationError, match=rf"bids\[{bad}\]\.demand"):
+            make_instance([3, 4, 5], demands, [(2,)])
+
 
 # Property tests ------------------------------------------------------------
 
