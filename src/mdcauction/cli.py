@@ -147,9 +147,7 @@ def cmd_compare(args) -> int:
     )
     if args.seed is not None:
         params = replace(params, seed=args.seed)
-    base_config = _mechanism_override(mechanism, args) if mechanism else None
-    if base_config is None and (args.gamma is not None or args.solver is not None):
-        base_config = _mechanism_override(MechanismConfig(), args)
+    base_config = _mechanism_override(mechanism or MechanismConfig(), args)
     names = [name.strip() for name in args.mechanisms.split(",") if name.strip()]
     if not names:
         raise ValidationError("--mechanisms", "expected a comma-separated list")

@@ -6,6 +6,7 @@ class ValidationError(ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
 
 

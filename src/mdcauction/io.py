@@ -136,7 +136,10 @@ def parse_generator(doc: dict, prefix: str = "generator.") -> GeneratorParams:
         kwargs["period_capacity_range"] = _int_range(
             doc["period_capacity_range"], f"{prefix}period_capacity_range"
         )
-    return GeneratorParams(**kwargs)
+    try:
+        return GeneratorParams(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{prefix}{exc.field}", exc.message) from None
 
 
 def _mechanism_block(doc: dict) -> MechanismConfig | None:

@@ -83,31 +83,28 @@ def _critical_payment(
     """Smallest own bid in [1, b_i] (milli granularity) at which the buyer still wins.
 
     ``solution`` is the round's.  When ``solve_exact`` proved it optimal,
-    ``without`` is what ``solve_exact`` returns on the round without i,
-    taken from the round's one ``solve_exact_without`` search, and the
-    threshold has a closed form.  The WDP maximizes the sum of bids and
-    bidders are single-minded, so with own bid x the best allocation
-    containing i is worth OPT - b_i + x and the best one without i is
-    worth OPT(without i); i wins for x above
-    t = OPT(without i) - (OPT - b_i) and loses below it (Archer & Tardos
-    2001, one-parameter agents).  At x = t the two tie, and
-    ``solve_exact`` returns the optimum its search reaches first: the
-    least key, listing each buyer's seller id in buyer id order with
-    unassigned last.  For t < b_i the optima containing i are the
-    round's, the first being ``solution``.  The first without i is
-    ``without``: the joint search keeps, for each winner, the first
-    leaf in that same order that leaves it unassigned and reaches the
-    optimum without it (see ``solve_exact_without``).  So i wins at t
-    iff ``solution`` has the lesser key.  Buyers that neither assigns
-    never differ, so the keys first differ at the least buyer id that
-    one of the two assigns and the other assigns elsewhere or not at all.
-    Both pair lists are sorted by buyer id, so that is where the two
-    lists first differ, and comparing them as tuples settles it: at a
-    buyer both assign the lower seller comes first, and the list that
-    assigns a buyer the other leaves out comes first.  Neither list is a
-    prefix of the other here: ``solution``'s holds i and ``without``'s
-    does not, and were ``without``'s a prefix of ``solution``'s it would
-    be worth at most OPT - b_i, so t < 1.
+    ``without`` is what ``solve_exact`` returns on the round without i
+    (see ``solve_exact_without``), and the threshold has a closed form.
+    The WDP maximizes the sum of bids and bidders are single-minded, so
+    with own bid x the best allocation containing i is worth
+    OPT - b_i + x and the best one without i is worth OPT(without i);
+    i wins for x above t = OPT(without i) - (OPT - b_i) and loses below
+    it (Archer & Tardos 2001, one-parameter agents).  At x = t the two
+    tie, and ``solve_exact`` returns the optimum its search reaches
+    first: the least key, listing each buyer's seller id in buyer id
+    order with unassigned last.  For t < b_i the optima containing i are
+    the round's, the first being ``solution``, and the first without i
+    is ``without``.  So i wins at t iff ``solution`` has the lesser key.
+    Buyers that neither assigns never differ, so the keys first differ
+    at the least buyer id that one of the two assigns and the other
+    assigns elsewhere or not at all.  Both pair lists are sorted by
+    buyer id, so that is where the two lists first differ, and comparing
+    them as tuples settles it: at a buyer both assign the lower seller
+    comes first, and the list that assigns a buyer the other leaves out
+    comes first.  Neither list is a prefix of the other here:
+    ``solution``'s holds i and ``without``'s does not, and were
+    ``without``'s a prefix of ``solution``'s it would be worth at most
+    OPT - b_i, so t < 1.
 
     A heuristic solver's objective is not OPT; greedy's threshold comes
     from one greedy pass without i instead (see ``greedy_threshold``),
@@ -139,9 +136,9 @@ def run_srmra(
     a multi-round framework is driving).  Zero-amount bids never win;
     winners pay their bids under first-price pricing and their critical
     values (see ``_critical_payment``) under critical-value pricing,
-    where with the exact solver one ``solve_exact_without`` search
-    solves the round without each winner.  The outcome is round
-    ``len(ledger.history) + 1``.
+    where with the exact solver ``solve_exact_without`` solves the round
+    without each winner, one search each on the round's setup.  The
+    outcome is round ``len(ledger.history) + 1``.
     """
     for bid in bids:
         if bid.amount > ledger.remaining_budget.get(bid.buyer_id, 0):
@@ -158,9 +155,7 @@ def run_srmra(
     if config.pricing == "first_price":
         payments = dict(winning_bids)
     else:
-        without = {}
-        if solution.optimal and winning_bids:
-            without = solve_exact_without(instance, solution, winning_bids)
+        without = solve_exact_without(instance, solution, winning_bids) if solution.optimal else {}
         payments = {
             buyer: _critical_payment(instance, bid_of[buyer], solution, without.get(buyer))
             for buyer in winning_bids

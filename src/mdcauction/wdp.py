@@ -108,10 +108,6 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"search budget exceeded ({node_budget} nodes)")
 
 
-class _JointSearchExhausted(Exception):
-    """``solve_exact_without``'s search ran out of nodes."""
-
-
 def _packed(instance: WdpInstance):
     """``(bids, amounts, guard, rooms, needs, choices, suffix)``: the exact searches' state.
 
@@ -151,9 +147,9 @@ def _packed(instance: WdpInstance):
 def _relaxation(instance: WdpInstance, bids, amounts):
     """``(base, scale, margins, rsum)``: the exact searches' Lagrangian bound
     on one pooled capacity row, scaled to integers, for ``bids`` in buyer id
-    order.  ``solve_exact`` cuts by it as it is, and ``solve_exact_without``
-    per dropped buyer; any multiplier >= 0 bounds every feasible assignment
-    of the round, so it bounds the round without any of its buyers too.
+    order.  ``solve_exact`` cuts by it, and ``solve_exact_without`` less the
+    dropped buyer's margin; any multiplier >= 0 bounds every feasible
+    assignment of the round, so it bounds the round without any buyer too.
 
     T_k is the sum of the sellers' capacities in dimension k.  Of the
     dimensions whose total demand exceeds T_k, k is the one with the
@@ -226,31 +222,38 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     where that is strictly better; either way not proven optimal.
     Raises ValidationError past ``MAX_EXACT_BUYERS`` bids.
     """
-    bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = (
-        instance._setup
-    )
-    rooms = list(rooms)
-    n = len(bids)
+    try:
+        return _search(instance._setup, node_budget, -1)
+    except SearchBudgetExceeded as exc:
+        greedy = solve_greedy(instance)
+        if greedy.objective > exc.best.objective:
+            raise SearchBudgetExceeded(node_budget, greedy) from None
+        raise
 
-    best_value = -1
+
+def _search(setup, node_budget: int, best_value: int) -> WdpSolution:
+    """``solve_exact``'s branch and bound on ``setup``, laid out as ``WdpInstance._setup``.
+
+    The incumbent starts at ``best_value``, below the optimum, with no
+    pairs, and is replaced only on strict improvement; the search
+    returns it, proven optimal.  Raises SearchBudgetExceeded past
+    ``node_budget`` nodes, carrying the best leaf reached, if any.
+    """
+    _bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = setup
+    rooms = list(rooms)
+    n = len(amounts)
     best_pairs: tuple[tuple[int, int], ...] = ()
-    # bar = (best_value + 1) * scale - base: a node is cut when its
-    # reduced + rsum[i] falls below it.  Without a multiplier both sides are 0.
-    bar = -base
+    # A node is cut when its reduced + rsum[i] falls below bar; with no multiplier both are 0.
+    bar = (best_value + 1) * scale - base
     chosen: list[tuple[int, int]] = []
     nodes = 0
-
-    def incumbent() -> WdpSolution:
-        greedy = solve_greedy(instance)
-        if greedy.objective > max(best_value, 0):
-            return greedy
-        return WdpSolution(Assignment(best_pairs), max(best_value, 0), False)
 
     def descend(i: int, value: int, reduced: int) -> None:
         nonlocal best_value, best_pairs, bar, nodes
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetExceeded(node_budget, incumbent())
+            reached = WdpSolution(Assignment(best_pairs), best_value if best_pairs else 0, False)
+            raise SearchBudgetExceeded(node_budget, reached)
         if value + suffix[i] <= best_value or reduced + rsum[i] < bar:
             return
         if i == n:
@@ -274,8 +277,6 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
         descend(i + 1, value, reduced)
 
     descend(0, 0, 0)
-    if best_value < 0:
-        return WdpSolution(Assignment(()), 0, True)
     return WdpSolution(Assignment(best_pairs), best_value, True)
 
 
@@ -285,148 +286,48 @@ def solve_exact_without(
     buyer_ids,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict[int, WdpSolution]:
-    """``solve_exact`` on ``instance`` without w, for each w in ``buyer_ids``, from one search.
+    """``solve_exact`` on ``instance`` without w, for each w in ``buyer_ids``.
 
     ``solution`` is a feasible assignment of ``instance``, normally the
-    round's optimum, and every w bids in ``instance``.  The search
-    walks ``solve_exact``'s tree of the whole instance in its order.
-    The leaves where w is unassigned are, in the same order, the leaves
-    of ``solve_exact``'s tree without w: w takes no room on them, so
-    every other buyer has the same choices.  Each w keeps its own
-    incumbent over those leaves, replaced only on strict improvement.
-    It starts at ``solution.objective - b_w - 1``: ``solution`` without w
-    is feasible and worth at least ``solution.objective - b_w``, so the
-    optimum without w beats the start.
+    round's optimum, and every w bids in ``instance``.  Each w gets one
+    run of ``solve_exact``'s search on the instance's setup in which w
+    has no seller to choose, so its leaves are, in order, those of
+    ``solve_exact``'s tree without w; both bounds leave out b_w and w's
+    positive margin at the depths where w is still ahead.  Its incumbent
+    starts at ``solution.objective - b_w - 1``, below ``solution``
+    without w, so the first leaf worth the optimum without w is kept:
+    what ``solve_exact`` returns without w, proven optimal.
 
-    A subtree is cut only when no w left unassigned on its path or still
-    undecided can beat its incumbent there, by either of ``solve_exact``'s
-    two bounds on the leaves where w is unassigned.  One is the partial
-    value plus the remaining bids, less b_w while w is undecided.  The
-    other is ``solve_exact``'s capacity bound, with the round's multiplier
-    (see ``_relaxation``): in its scaled form ``base + reduced + rsum[i]``,
-    less w's margin, if positive, while w is undecided.  A cut subtree
-    holds no leaf without w better than w's start or than a leaf reached
-    before it.  The first leaf worth the optimum without w is therefore
-    never cut and is the one kept: w's result is what ``solve_exact``
-    returns without w, the same objective and the same first optimum in
-    search order, proven optimal.
-
-    The joint search may expand ``node_budget`` nodes.  Past that, each
-    w is solved alone by ``solve_exact`` with ``node_budget`` nodes of
-    its own, in ``buyer_ids`` order, as if there were no joint search:
-    a round whose solves alone each fit the budget still gets its
-    results, and otherwise the first solve that runs out raises its
+    If one search runs out of its ``node_budget`` nodes, each w is
+    solved alone by ``solve_exact`` with a budget of its own, in
+    ``buyer_ids`` order, and the first solve that runs out raises its
     SearchBudgetExceeded.  Raises ValidationError past
     ``MAX_EXACT_BUYERS`` bids.
     """
     bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = (
         instance._setup
     )
-    rooms = list(rooms)
-    n = len(bids)
     position = {b.buyer_id: i for i, b in enumerate(bids)}
-    tracked = tuple(sorted({position[buyer_id] for buyer_id in buyer_ids}))
-    # best[k]: buyer k's incumbent.  A leaf without k beats it only if the
-    # node's partial value plus the remaining bids exceeds best[k] and its
-    # reduced + rsum[i] reaches lag[k] = (best[k] + 1) * scale - base; while
-    # k is undecided, only if they exceed bar[k] = best[k] + b_k and reach
-    # lag[k] + max(0, margins[k]).
-    best = [0] * n
-    bar = [0] * n
-    lag = [0] * n
-    found: dict[int, tuple[tuple[int, int], ...]] = {}
-    is_tracked = [False] * n
-    for k in tracked:
-        best[k] = solution.objective - amounts[k] - 1
-        bar[k] = solution.objective - 1
-        lag[k] = (solution.objective - amounts[k]) * scale - base
-        is_tracked[k] = True
-    last = tracked[-1] if tracked else -1
-    gain = [m if m > 0 else 0 for m in margins]
-    # limit[i] and lag_limit[i]: the least bar and the least
-    # lag[k] + max(0, margins[k]) of the tracked buyers from depth i on, who
-    # are undecided at every node of that depth.  With none, suffix[0] and
-    # rsum[0] + 1, as no node's partial value plus remaining bids exceeds
-    # the one and no node's reduced + rsum[i] reaches the other.
-    limit = [suffix[0]] * (n + 1)
-    lag_limit = [rsum[0] + 1] * (n + 1)
-
-    def refresh_limits() -> None:
-        low = suffix[0]
-        lag_low = rsum[0] + 1
-        for k in range(n - 1, -1, -1):
-            if is_tracked[k]:
-                if bar[k] < low:
-                    low = bar[k]
-                if lag[k] + gain[k] < lag_low:
-                    lag_low = lag[k] + gain[k]
-            limit[k] = low
-            lag_limit[k] = lag_low
-
-    refresh_limits()
-    chosen: list[tuple[int, int]] = []
-    nodes = 0
-
-    def descend(i: int, value: int, reduced: int, decided: tuple) -> None:
-        # decided: tracked buyers left unassigned above depth i.  Tracked
-        # buyers assigned on this path are not in it, as no leaf below
-        # counts for them.  Each pass of the loop is one node; the next
-        # pass is its last child, where buyer i is left unassigned.
-        nonlocal nodes
-        while True:
-            nodes += 1
-            if nodes > node_budget:
-                raise _JointSearchExhausted
-            total = value + suffix[i]
-            relaxed = reduced + rsum[i]
-            if total <= limit[i] or relaxed < lag_limit[i]:
-                for k in decided:
-                    if total > best[k] and relaxed >= lag[k]:
-                        break
-                else:
-                    return
-            if i == n:
-                improved = False
-                for k in decided:
-                    if value > best[k]:
-                        best[k] = value
-                        bar[k] = value + amounts[k]
-                        lag[k] = (value + 1) * scale - base
-                        found[k] = tuple(chosen)
-                        improved = True
-                if improved:
-                    refresh_limits()
-                return
-            # Assigning i counts only for a tracked buyer still open: one left
-            # unassigned above, or one after i.
-            if decided or i < last:
-                need = needs[i]
-                taken = value + amounts[i]
-                reduced_taken = reduced + margins[i]
-                for j, pair in choices[i]:
-                    room = rooms[j]
-                    left = room - need
-                    if left & guard == guard:
-                        rooms[j] = left
-                        chosen.append(pair)
-                        descend(i + 1, taken, reduced_taken, decided)
-                        chosen.pop()
-                        rooms[j] = room
-            if is_tracked[i]:
-                decided += (i,)
-            i += 1
-
+    found = {}
     try:
-        descend(0, 0, 0, ())
-    except _JointSearchExhausted:
+        for w in buyer_ids:
+            k = position[w]
+            amount = amounts[k]
+            gain = margins[k] if margins[k] > 0 else 0
+            dropped = choices[:k] + [[]] + choices[k + 1 :]
+            lowered = [total - amount for total in suffix[: k + 1]] + suffix[k + 1 :]
+            relaxed = [total - gain for total in rsum[: k + 1]] + rsum[k + 1 :]
+            setup = (
+                bids, amounts, guard, rooms, needs, dropped, lowered, base, scale, margins, relaxed
+            )
+            found[w] = _search(setup, node_budget, solution.objective - amount - 1)
+    except SearchBudgetExceeded:
         alone = {}
         for w in buyer_ids:
             others = tuple(b for b in instance.bids if b.buyer_id != w)
             alone[w] = solve_exact(WdpInstance(others, instance.seller_caps), node_budget)
         return alone
-    return {
-        bids[k].buyer_id: WdpSolution(Assignment(found[k]), best[k], True) for k in tracked
-    }
+    return found
 
 
 def _scale(instance: WdpInstance) -> tuple[int, list[int]]:

@@ -368,6 +368,23 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == "error: bids: expected 1 rows, got 2\n"
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "generator, message",
+        [
+            ({"horizon": 0}, "generator.horizon: must be >= 1"),
+            ({"horizon": 1, "bid_range": [5, 1]},
+             "generator.bid_range: lower bound 5 exceeds upper bound 1"),
+        ],
+    )
+    def test_generator_block_range_errors_keep_the_prefix(
+        self, tmp_path, capsys, command, generator, message
+    ):
+        path = tmp_path / "generator.json"
+        path.write_text(json.dumps({"generator": {"n_buyers": 2, "m_sellers": 1, **generator}}))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -3,11 +3,10 @@
 The reference in this file re-solves the round once per trial bid and
 searches for the smallest own bid in [1, b_i] at which the buyer still
 wins, which is the definition of the critical value.  The production
-code derives every exact winner's payment from one joint search of the
-round (``solve_exact_without``), which yields the solve without each
-winner and settles the tie at the threshold by the exact search's
-order.  The greedy heuristic's payment comes from one greedy pass
-without the winner.
+code derives every exact winner's payment from one exact search without
+that winner on the round's setup (``solve_exact_without``), and settles
+the tie at the threshold by the exact search's order.  The greedy
+heuristic's payment comes from one greedy pass without the winner.
 """
 
 import json
@@ -139,7 +138,8 @@ def test_exact_pricing_searches_once_per_round(monkeypatch):
 
 
 def test_exact_pricing_packs_each_round_once(monkeypatch):
-    # The round solve and the joint search read one setup of the round.
+    # The round solve and the searches without each winner read one setup
+    # of the round.
     packed = []
 
     def counting(instance):
@@ -194,9 +194,9 @@ def test_tie_at_the_threshold_settled_by_an_earlier_buyers_seller(
 def exhaust_on_call(monkeypatch, call):
     """Let the ``call``-th exact search run out of nodes; return ``(search, instance)`` per call.
 
-    Call 1 is the round's ``solve_exact``, call 2 the joint search
-    without each winner.  At a budget of 1 the solves without a single
-    winner that replace an exhausted joint search run out too.
+    Call 1 is the round's ``solve_exact``, call 2 the searches without
+    each winner.  At a budget of 1 the solves alone that replace an
+    exhausted search without a winner run out too.
     """
     seen = []
 

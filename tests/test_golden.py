@@ -47,6 +47,18 @@ CV_SELLERS_PARAMS = {
     "mechanism": {"pricing": "critical_value"},
 }
 
+# Critical-value pricing at about 15 winners a round: 16 buyers share two
+# sellers' capacities, so each round prices many winners.
+CV_MANY_WINNERS_PARAMS = {
+    "n_buyers": 16,
+    "m_sellers": 2,
+    "horizon": 10,
+    "dimensions": 3,
+    "capacity_range": [20, 40],
+    "seed": 101,
+    "mechanism": {"pricing": "critical_value"},
+}
+
 # name -> (argv, file the run writes); stdout is kept as <name>.txt.
 CASES = {
     "compare_default": (
@@ -58,6 +70,11 @@ CASES = {
     "compare_cv": (["compare", "cv-default.json", "--seeds", "3", "--out", "out.csv"], "out.csv"),
     "compare_cv_sellers": (
         ["compare", "cv-sellers.json", "--seeds", "4",
+         "--mechanisms", "mafl,repeated_srmra", "--out", "out.csv"],
+        "out.csv",
+    ),
+    "compare_cv_many_winners": (
+        ["compare", "cv-many-winners.json", "--seeds", "2",
          "--mechanisms", "mafl,repeated_srmra", "--out", "out.csv"],
         "out.csv",
     ),
@@ -75,6 +92,7 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cv-default.json").write_text(json.dumps(CV_PARAMS))
     (tmp_path / "cv-sellers.json").write_text(json.dumps(CV_SELLERS_PARAMS))
+    (tmp_path / "cv-many-winners.json").write_text(json.dumps(CV_MANY_WINNERS_PARAMS))
     assert main(["gen", "default", "--materialize", "--out", "scenario.json"]) == 0
     assert main(["gen", "default", "--out", "generator.json"]) == 0
     argv, written = CASES[name]
