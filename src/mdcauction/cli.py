@@ -101,7 +101,14 @@ def cmd_replay(args) -> int:
 
 
 def cmd_run(args) -> int:
-    parsed = io.parse_scenario(io.load_json(_resolve_input(args.scenario, "scenario")))
+    doc = io.load_json(_resolve_input(args.scenario, "scenario"))
+    if io.detect_kind(doc) == "params":
+        raise ValidationError(
+            args.scenario,
+            "is a params file; run takes a scenario file or a `generator` block,"
+            " which `gen` writes from a params file",
+        )
+    parsed = io.parse_scenario(doc)
     if isinstance(parsed, Scenario):
         scenario = parsed.with_mechanism(_mechanism_override(parsed.mechanism, args))
         if args.seed is not None:

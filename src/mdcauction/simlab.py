@@ -20,7 +20,7 @@ from .mechanisms import (
 )
 from .model import Bid, Buyer, ResourceVector, Seller
 from .money import SCALE
-from .rng import GENERATOR_NAME, SplitMix64
+from .rng import BLOCK_LANES, GENERATOR_NAME, SplitMix64
 from .scenario import GeneratorParams, MechanismConfig, Scenario
 
 MECHANISMS = {
@@ -28,6 +28,13 @@ MECHANISMS = {
     "repeated_srmra": run_repeated_srmra,
     "double_auction": run_double_auction,
 }
+
+
+def _scaled(draws: list[int], bounds: tuple[int, int]) -> list[int]:
+    """``randint(*bounds)`` of each draw, in milli-units."""
+    lo, hi = bounds
+    span = hi - lo + 1
+    return [(lo + x % span) * SCALE for x in draws]
 
 
 def generate_scenario(
@@ -41,41 +48,44 @@ def generate_scenario(
     round by round each buyer's bid amount followed by its demand
     components.  Amounts are whole units scaled to milli-units.
     Generated amounts are true valuations, so budget-aware mechanisms
-    may adjust them.
+    may adjust them.  The whole scenario is one ``next_u64s`` call, cut
+    into the fields above and reduced to their ranges as ``randint``
+    would, so the draws are those of one call per value.
     """
-    rng = SplitMix64(params.seed)
+    dims, n = params.dimensions, params.n_buyers
+    period = params.period_capacity_range
+    per_seller = dims * (1 if period is None else 2) + 1
+    stride = 1 + dims  # one bid: its amount, then its demand components
+    first_bid = n + params.m_sellers * per_seller
+    draws = SplitMix64(params.seed).next_u64s(first_bid + params.horizon * n * stride)
     buyers = tuple(
-        Buyer(i, rng.randint(*params.budget_range) * SCALE) for i in range(params.n_buyers)
+        Buyer(i, budget) for i, budget in enumerate(_scaled(draws[:n], params.budget_range))
     )
     sellers = []
     for j in range(params.m_sellers):
-        round_cap = ResourceVector(
-            tuple(rng.randint(*params.capacity_range) * SCALE for _ in range(params.dimensions))
-        )
+        own = draws[n + j * per_seller : n + (j + 1) * per_seller]
+        round_cap = ResourceVector(tuple(_scaled(own[:dims], params.capacity_range)))
         period_cap = None
-        if params.period_capacity_range is not None:
-            period_cap = ResourceVector(
-                tuple(
-                    rng.randint(*params.period_capacity_range) * SCALE
-                    for _ in range(params.dimensions)
-                )
-            )
-        ask = rng.randint(*params.ask_range) * SCALE
-        sellers.append(Seller(j, round_cap, period_cap, ask))
-    matrix = [[] for _ in range(params.n_buyers)]
-    for _ in range(params.horizon):
-        for i in range(params.n_buyers):
-            amount = rng.randint(*params.bid_range) * SCALE
-            demand = ResourceVector(
-                tuple(rng.randint(*params.demand_range) * SCALE for _ in range(params.dimensions))
-            )
-            matrix[i].append(Bid(i, amount, demand))
+        if period is not None:
+            period_cap = ResourceVector(tuple(_scaled(own[dims : 2 * dims], period)))
+        sellers.append(Seller(j, round_cap, period_cap, _scaled(own[-1:], params.ask_range)[0]))
+    # Bid p is buyer p % n in round p // n.
+    bids = draws[first_bid:]
+    amounts = _scaled(bids[::stride], params.bid_range)
+    demands = list(zip(*(_scaled(bids[k::stride], params.demand_range) for k in range(1, stride))))
+    matrix = [
+        tuple(
+            Bid(i, amount, ResourceVector(demand))
+            for amount, demand in zip(amounts[i::n], demands[i::n])
+        )
+        for i in range(n)
+    ]
     return Scenario(
         buyers=buyers,
         sellers=tuple(sellers),
         horizon=params.horizon,
         dimensions=params.dimensions,
-        bid_matrix=tuple(tuple(row) for row in matrix),
+        bid_matrix=tuple(matrix),
         generator=params,
         mechanism=mechanism or MechanismConfig(),
         bids_are_valuations=True,
@@ -218,6 +228,29 @@ def _percentile(ordered: list[float], q: float) -> float:
     return ordered[lo] * (1 - frac) + ordered[hi] * frac
 
 
+def _bootstrap_means(
+    rng: SplitMix64, revenue_units: dict[str, list[float]], resamples: int
+) -> dict[str, list[float]]:
+    """Each label's mean revenue in each of ``resamples`` resamples of the seeds.
+
+    Indices are drawn a block of whole resamples at a time, so the memory
+    beyond the returned means is O(max(n_seeds, BLOCK_LANES)), not
+    O(resamples * n_seeds).  Each mean sums the same floats in the same
+    order as one draw at a time would.
+    """
+    n_seeds = len(next(iter(revenue_units.values())))
+    means: dict[str, list[float]] = {label: [] for label in revenue_units}
+    per_block = max(1, BLOCK_LANES // n_seeds)
+    for first in range(0, resamples, per_block):
+        block = min(per_block, resamples - first)
+        indices = rng.randints(0, n_seeds - 1, block * n_seeds)
+        for start in range(0, block * n_seeds, n_seeds):
+            idx = indices[start : start + n_seeds]
+            for label, revenue in revenue_units.items():
+                means[label].append(sum(map(revenue.__getitem__, idx)) / n_seeds)
+    return means
+
+
 def compare(
     params: GeneratorParams,
     mechanisms,
@@ -228,8 +261,12 @@ def compare(
 
     Replicate seeds come from a SplitMix64 stream keyed by
     ``params.seed``; the same stream then drives the bootstrap
-    resampling, so a report is a pure function of (params, mechanisms,
-    n_seeds, resamples).
+    resampling, one resample's ``n_seeds`` indices after another, so a
+    report is a pure function of (params, mechanisms, n_seeds,
+    resamples).  Seeds and indices are drawn in bulk (``next_u64s``,
+    ``randints``), which gives the same stream as one draw at a time.
+    A spec whose config equals the drawn workload's mechanism runs on
+    the workload itself, so the scenario is checked once per seed.
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds", "must be >= 1")
@@ -246,13 +283,14 @@ def compare(
             )
 
     rng = SplitMix64(params.seed)
-    seeds = tuple(rng.next_u64() for _ in range(n_seeds))
+    seeds = tuple(rng.next_u64s(n_seeds))
     records: list[SeedRecord] = []
     revenue_units: dict[str, list[float]] = {label: [] for label in labels}
     for seed in seeds:
-        workload = generate_scenario(replace(params, seed=seed))
+        workload = generate_scenario(replace(params, seed=seed), specs[0].config)
         for spec in specs:
-            scenario = workload.with_mechanism(spec.config) if spec.config else workload
+            config = spec.config or MechanismConfig()
+            scenario = workload if config == workload.mechanism else workload.with_mechanism(config)
             evaluation = evaluate(scenario, spec.name)
             result, metrics = evaluation.result, evaluation.metrics
             records.append(
@@ -277,12 +315,7 @@ def compare(
         for label in labels
     )
 
-    # One resample's indices at a time: memory stays O(n_seeds), not O(resamples * n_seeds).
-    resample_means: dict[str, list[float]] = {label: [] for label in labels}
-    for _ in range(bootstrap_resamples):
-        idx = [rng.randint(0, n_seeds - 1) for _ in range(n_seeds)]
-        for label, revenue in revenue_units.items():
-            resample_means[label].append(sum(revenue[i] for i in idx) / n_seeds)
+    resample_means = _bootstrap_means(rng, revenue_units, bootstrap_resamples)
     pairwise = []
     for label_a in labels:
         for label_b in labels:

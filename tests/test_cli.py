@@ -250,6 +250,22 @@ class TestRunCommand:
         assert done.stderr.startswith("error: bids: 1100 bids exceed")
         assert done.stderr.count("\n") == 1
 
+    def test_params_file_exits_2_naming_the_kind(self):
+        # `validate` accepts the bundled profile as params; `run` once named
+        # `scenario.n_buyers` as an unknown field instead.
+        profile = "src/mdcauction/data/profiles/default.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "mdcauction", "run", profile],
+            capture_output=True, text=True, timeout=60, env=env, cwd=root,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: {profile}: is a params file;")
+        assert "scenario file or a `generator` block" in done.stderr
+        assert done.stderr.count("\n") == 1
+
     @pytest.mark.parametrize(
         "error, words",
         [

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,11 @@ from mdcauction import (
     replay,
     run_repeated_srmra,
 )
+from mdcauction.model import Bid, Buyer, ResourceVector, Seller
+from mdcauction.money import SCALE
+from mdcauction.rng import SplitMix64
+from mdcauction.scenario import Scenario
+from mdcauction.simlab import _bootstrap_means, _improvement_pct, _percentile
 from helpers import (
     TABLE1_BIDS,
     TABLE2_BIDS,
@@ -87,6 +94,51 @@ class TestGenerator:
             )
             result = run_repeated_srmra(scenario)
             recheck_run_invariants(scenario, result)
+
+
+def scalar_scenario(params: GeneratorParams) -> Scenario:
+    """generate_scenario's documented draw order, one scalar draw at a time."""
+    rng = SplitMix64(params.seed)
+
+    def draw(bounds):
+        return rng.randint(*bounds) * SCALE
+
+    def vector(bounds):
+        return ResourceVector(tuple(draw(bounds) for _ in range(params.dimensions)))
+
+    buyers = tuple(Buyer(i, draw(params.budget_range)) for i in range(params.n_buyers))
+    sellers = []
+    for j in range(params.m_sellers):
+        round_cap = vector(params.capacity_range)
+        period_cap = None
+        if params.period_capacity_range is not None:
+            period_cap = vector(params.period_capacity_range)
+        sellers.append(Seller(j, round_cap, period_cap, draw(params.ask_range)))
+    matrix = [[] for _ in range(params.n_buyers)]
+    for _ in range(params.horizon):
+        for i in range(params.n_buyers):
+            amount = draw(params.bid_range)
+            matrix[i].append(Bid(i, amount, vector(params.demand_range)))
+    return Scenario(
+        buyers=buyers,
+        sellers=tuple(sellers),
+        horizon=params.horizon,
+        dimensions=params.dimensions,
+        bid_matrix=tuple(tuple(row) for row in matrix),
+        generator=params,
+        bids_are_valuations=True,
+    )
+
+
+@pytest.mark.parametrize("period", [None, (30, 90)])
+@pytest.mark.parametrize("dimensions", [1, 3])
+@pytest.mark.parametrize("n_buyers", [0, 1, 7])
+def test_generator_matches_the_scalar_draw_order(period, dimensions, n_buyers):
+    params = GeneratorParams(
+        n_buyers=n_buyers, m_sellers=2, horizon=5, seed=2**64 - 3, dimensions=dimensions,
+        demand_range=(0, 6), bid_range=(2, 2), period_capacity_range=period,
+    )
+    assert generate_scenario(params) == scalar_scenario(params)
 
 
 class TestMetrics:
@@ -182,3 +234,78 @@ class TestCompare:
         )
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) < 10 * 1024  # ru_maxrss is in KiB
+
+    @pytest.mark.parametrize("n_seeds, resamples", [(1, 5), (3, 1500), (4100, 3)])
+    def test_intervals_match_a_scalar_bootstrap(self, n_seeds, resamples):
+        # 1500 resamples of 3 seeds and each resample of 4100 seeds span
+        # more than one block of bulk draws.
+        params = GeneratorParams(n_buyers=2, m_sellers=1, horizon=1, dimensions=1, seed=8)
+        labels = ["mafl", "repeated_srmra"]
+        report = compare(params, labels, n_seeds=n_seeds, bootstrap_resamples=resamples)
+        revenue = {label: [r.revenue / SCALE for r in report.records if r.mechanism == label]
+                   for label in labels}
+        rng = SplitMix64(params.seed)
+        assert report.seeds == tuple(rng.next_u64() for _ in range(n_seeds))
+        means = {label: [] for label in labels}
+        for _ in range(resamples):
+            idx = [rng.randint(0, n_seeds - 1) for _ in range(n_seeds)]
+            for label in labels:
+                means[label].append(sum(revenue[label][i] for i in idx) / n_seeds)
+        for pair in report.pairwise:
+            resampled = sorted(
+                map(_improvement_pct, means[pair.mechanism_a], means[pair.mechanism_b])
+            )
+            assert (pair.ci_low, pair.ci_high) == (
+                _percentile(resampled, 0.025), _percentile(resampled, 0.975)
+            )
+
+    def test_bootstrap_memory_does_not_grow_with_resamples(self):
+        # The means themselves grow with the resamples; the memory above them
+        # holds one block of indices, not resamples x seeds of them.
+        revenue = {label: [float(i % 97) for i in range(1000)] for label in ("a", "b")}
+        peaks = {}
+        for resamples in (1000, 4000):
+            tracemalloc.start()
+            try:
+                means = _bootstrap_means(SplitMix64(5), revenue, resamples)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(means["a"]) == resamples
+            peaks[resamples] = peak - current
+        assert peaks[4000] <= 1.1 * peaks[1000], peaks
+
+    @pytest.mark.parametrize(
+        "configs, checks_per_seed",
+        [
+            ((MechanismConfig(), MechanismConfig()), 1),
+            ((MechanismConfig(pricing="critical_value"),) * 2, 1),
+            ((None, None), 1),
+            ((MechanismConfig(gamma=2.0), None), 2),
+        ],
+    )
+    def test_scenario_checked_once_per_seed_when_configs_agree(
+        self, monkeypatch, configs, checks_per_seed
+    ):
+        checks = []
+        check = Scenario.__post_init__
+
+        def counting(scenario):
+            checks.append(scenario.generator.seed)
+            check(scenario)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        specs = [
+            MechanismSpec("mafl", config=configs[0]),
+            MechanismSpec("repeated_srmra", config=configs[1]),
+        ]
+        report = compare(self.params, specs, n_seeds=3, bootstrap_resamples=0)
+        assert len(checks) == 3 * checks_per_seed
+        assert set(checks) == set(report.seeds)
+        monkeypatch.undo()
+        for spec in specs:
+            for record in (r for r in report.records if r.mechanism == spec.name):
+                scenario = generate_scenario(
+                    replace(self.params, seed=record.seed), spec.config
+                )
+                assert record.revenue == evaluate(scenario, spec.name).result.total_revenue
