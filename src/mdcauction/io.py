@@ -33,6 +33,12 @@ def load_json(source) -> dict:
         raise ValidationError(str(source), f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(str(source), f"invalid JSON at line {exc.lineno}") from exc
+    except UnicodeDecodeError:
+        raise ValidationError(str(source), "not UTF-8 text") from None
+    except ValueError:  # an integer past Python's 4300-digit conversion limit
+        raise ValidationError(str(source), "a number has too many digits") from None
+    except RecursionError:
+        raise ValidationError(str(source), "JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError(str(source), "top-level value must be an object")
     return doc

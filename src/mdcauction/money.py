@@ -13,33 +13,45 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, localcontext
 from .errors import ValidationError
 
 SCALE = 1000
+# Every amount ``to_milli`` returns is below _MAX_MILLI milli-units in
+# magnitude: at most 28 digits, as many as the default Decimal context
+# holds exactly, and far inside the 4300 digits Python formats, even summed.
+_MAX_MILLI = 10**28
 
 
 def to_milli(value, field: str = "value") -> int:
     """Convert a whole-unit number to integer milli-units.
 
     Accepts ints, Decimals, floats and numeric strings.  Values finer
-    than one milli-unit are rejected rather than silently rounded.
+    than one milli-unit are rejected rather than silently rounded, and
+    so are values that are not finite or reach ``_MAX_MILLI`` milli-units
+    in magnitude.
     """
     if isinstance(value, bool):
         raise ValidationError(field, "expected a number, got a boolean")
-    if isinstance(value, int):
-        return value * SCALE
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValidationError(field, "must be finite")
         value = Decimal(str(value))
     elif isinstance(value, str):
         try:
             value = Decimal(value)
         except InvalidOperation:
             raise ValidationError(field, f"not a number: {value!r}") from None
-    if isinstance(value, Decimal):
-        scaled = value * SCALE
-        if scaled != scaled.to_integral_value():
-            raise ValidationError(field, "resolution finer than 0.001 is not representable")
-        return int(scaled)
-    raise ValidationError(field, f"expected a number, got {type(value).__name__}")
+    elif isinstance(value, int):
+        value = Decimal(value)
+    elif not isinstance(value, Decimal):
+        raise ValidationError(field, f"expected a number, got {type(value).__name__}")
+    if not value.is_finite():
+        raise ValidationError(field, "must be finite")
+    if value.copy_abs() >= _MAX_MILLI // SCALE:
+        raise ValidationError(field, f"too large: must be below {_MAX_MILLI // SCALE:.0e}")
+    # A nonzero value below 0.001 fails here, before its exact ratio is built.
+    if value and value.adjusted() < -3:
+        raise ValidationError(field, "resolution finer than 0.001 is not representable")
+    numerator, denominator = value.as_integer_ratio()
+    milli, rest = divmod(numerator * SCALE, denominator)
+    if rest:
+        raise ValidationError(field, "resolution finer than 0.001 is not representable")
+    return milli
 
 
 def format_milli(amount: int) -> str:

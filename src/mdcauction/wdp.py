@@ -11,7 +11,7 @@ anything larger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from itertools import accumulate, chain
 from operator import attrgetter, lshift, mul, sub
@@ -31,11 +31,13 @@ class WdpInstance:
 
     ``seller_caps`` must already account for period-capacity
     remainders (component-wise min of round capacity and what the
-    seller may still share).
+    seller may still share).  ``dimension`` is the length of every
+    capacity and demand, 0 when there are none.
     """
 
     bids: tuple[Bid, ...]
     seller_caps: dict[int, ResourceVector]
+    dimension: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bids", tuple(self.bids))
@@ -60,32 +62,93 @@ class WdpInstance:
                 raise ValidationError(
                     f"bids[{bid.buyer_id}].demand", "inconsistent resource dimension"
                 )
-
-    @property
-    def dimension(self) -> int:
-        if self.bids:
-            return len(self.bids[0].demand)
-        for cap in self.seller_caps.values():
-            return len(cap)
-        return 0
+        object.__setattr__(self, "dimension", dimension or 0)
 
     @cached_property
     def _setup(self):
-        """The exact searches' state, built once per instance: ``_packed``'s
-        seven items, then ``_relaxation``'s four.
+        """The exact searches' state, built once per instance: ``(bids, amounts,
+        guard, rooms, needs, choices, suffix, base, scale, margins, rsum)``.
+
+        ``bids`` are in buyer id order and ``choices[i]`` lists
+        ``(seller index, (buyer id, seller id))`` by ascending seller id;
+        ``suffix[i]`` is the sum of the amounts from buyer i on.
+
+        Each seller's residual capacity is one integer with a field of
+        B + 1 bits per dimension, where B is the bit length of the largest
+        demand or capacity component: the low B bits hold the residual and
+        the top bit is a guard, set in every field.  A demand is packed the
+        same way without guards.  Every component is below 2**B, so
+        ``room - need`` never borrows across fields, and the guard of a
+        field survives exactly when that field's demand fits: the demand
+        fits in every dimension iff ``(room - need) & guard == guard``, and
+        assigning it is that one subtraction (Lamport, "Multiple byte
+        processing with full-word instructions", CACM 1975).  With no
+        dimensions ``guard`` is 0 and every demand fits.
+
+        ``base``, ``scale``, ``margins`` and ``rsum`` are the Lagrangian
+        bound on one pooled capacity row, scaled to integers.  ``solve_exact``
+        cuts by it, and ``solve_exact_without`` less the dropped buyer's
+        margin; any multiplier >= 0 bounds every feasible assignment of the
+        round, so it bounds the round without any buyer too.  T_k is the sum
+        of the sellers' capacities in dimension k.  Of the dimensions whose
+        total demand exceeds T_k, k is the one with the largest total demand
+        over T_k (the first on a tie; a zero T_k ranks highest).  Walking the
+        bids with a positive demand in k by descending amount / demand, c is
+        the first one whose demand no longer fits in what is left of T_k;
+        the multiplier is lambda = a_c / d_c.  ``scale`` is d_c, ``base`` is
+        a_c * T_k, ``margins[i]`` is a_i * d_c - a_c * d_ik, and ``rsum[i]``
+        is the sum of the positive margins from buyer i on.  When every
+        dimension's demand fits its total there is no multiplier: ``scale``
+        and ``base`` are 0 and so are all margins.
 
         A search writes only to ``rooms``, and works on its own copy of it:
         one cut short by its node budget leaves its copy changed.  Raises
         ValidationError past ``MAX_EXACT_BUYERS`` bids.
         """
-        if len(self.bids) > MAX_EXACT_BUYERS:
+        n = len(self.bids)
+        if n > MAX_EXACT_BUYERS:
             raise ValidationError(
                 "bids",
-                f"{len(self.bids)} bids exceed the exact solver's limit of "
+                f"{n} bids exceed the exact solver's limit of "
                 f"{MAX_EXACT_BUYERS} buyers a round; use the greedy solver",
             )
-        packed = _packed(self)
-        return packed + _relaxation(self, packed[0], packed[1])
+        bids = sorted(self.bids, key=attrgetter("buyer_id"))
+        amounts = [b.amount for b in bids]
+        demands = [b.demand.units for b in bids]
+        seller_ids = sorted(self.seller_caps)
+        caps = [self.seller_caps[s].units for s in seller_ids]
+        width = max(chain.from_iterable(caps + demands), default=0).bit_length() + 1
+        shifts = range(0, self.dimension * width, width)
+        guard = sum(1 << (shift + width - 1) for shift in shifts)
+        rooms = [guard + sum(map(lshift, cap, shifts)) for cap in caps]
+        needs = [sum(map(lshift, d, shifts)) for d in demands]
+        sellers = list(enumerate(seller_ids))
+        choices = [[(j, (b.buyer_id, s)) for j, s in sellers] for b in bids]
+        suffix = list(accumulate(reversed(amounts), initial=0))
+        suffix.reverse()
+
+        zeros = [0] * self.dimension
+        totals = [sum(column) for column in zip(*caps)] or zeros
+        demanded = [sum(column) for column in zip(*demands)] or zeros
+        k = None
+        for j, (total, demand) in enumerate(zip(totals, demanded)):
+            if demand > total and (k is None or demand * totals[k] > demanded[k] * total):
+                k = j
+        base = scale = 0
+        margins, rsum = [0] * n, [0] * (n + 1)
+        if k is not None:
+            dense = [(amounts[i], d[k], i) for i, d in enumerate(demands) if d[k]]
+            dense.sort(key=cmp_to_key(_rank))
+            left = totals[k]
+            for price, scale, _i in dense:
+                left -= scale
+                if left < 0:
+                    break
+            base = price * totals[k]
+            margins = [a * scale - price * d[k] for a, d in zip(amounts, demands)]
+            rsum = list(accumulate((m if m > 0 else 0 for m in reversed(margins)), initial=0))
+            rsum.reverse()
+        return bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum
 
 
 @dataclass(frozen=True)
@@ -108,86 +171,6 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"search budget exceeded ({node_budget} nodes)")
 
 
-def _packed(instance: WdpInstance):
-    """``(bids, amounts, guard, rooms, needs, choices, suffix)``: the exact searches' state.
-
-    ``bids`` are in buyer id order and ``choices[i]`` lists
-    ``(seller index, (buyer id, seller id))`` by ascending seller id;
-    ``suffix[i]`` is the sum of the amounts from buyer i on.
-
-    Each seller's residual capacity is one integer with a field of
-    B + 1 bits per dimension, where B is the bit length of the largest
-    demand or capacity component: the low B bits hold the residual and
-    the top bit is a guard, set in every field.  A demand is packed the
-    same way without guards.  Every component is below 2**B, so
-    ``room - need`` never borrows across fields, and the guard of a
-    field survives exactly when that field's demand fits: the demand
-    fits in every dimension iff ``(room - need) & guard == guard``, and
-    assigning it is that one subtraction (Lamport, "Multiple byte
-    processing with full-word instructions", CACM 1975).  With no
-    dimensions ``guard`` is 0 and every demand fits.
-    """
-    bids = sorted(instance.bids, key=attrgetter("buyer_id"))
-    amounts = [b.amount for b in bids]
-    seller_ids = sorted(instance.seller_caps)
-    caps = [instance.seller_caps[s].units for s in seller_ids]
-    demands = [b.demand.units for b in bids]
-    width = max(chain.from_iterable(caps + demands), default=0).bit_length() + 1
-    shifts = range(0, instance.dimension * width, width)
-    guard = sum(1 << (shift + width - 1) for shift in shifts)
-    rooms = [guard + sum(map(lshift, cap, shifts)) for cap in caps]
-    needs = [sum(map(lshift, d, shifts)) for d in demands]
-    sellers = list(enumerate(seller_ids))
-    choices = [[(j, (b.buyer_id, s)) for j, s in sellers] for b in bids]
-    suffix = list(accumulate(reversed(amounts), initial=0))
-    suffix.reverse()
-    return bids, amounts, guard, rooms, needs, choices, suffix
-
-
-def _relaxation(instance: WdpInstance, bids, amounts):
-    """``(base, scale, margins, rsum)``: the exact searches' Lagrangian bound
-    on one pooled capacity row, scaled to integers, for ``bids`` in buyer id
-    order.  ``solve_exact`` cuts by it, and ``solve_exact_without`` less the
-    dropped buyer's margin; any multiplier >= 0 bounds every feasible
-    assignment of the round, so it bounds the round without any buyer too.
-
-    T_k is the sum of the sellers' capacities in dimension k.  Of the
-    dimensions whose total demand exceeds T_k, k is the one with the
-    largest total demand over T_k (the first on a tie; a zero T_k ranks
-    highest).  Walking the bids with a positive demand in k by
-    descending amount / demand, c is the first one whose demand no
-    longer fits in what is left of T_k; the multiplier is
-    lambda = a_c / d_c.  ``scale`` is d_c, ``base`` is a_c * T_k,
-    ``margins[i]`` is a_i * d_c - a_c * d_ik, and ``rsum[i]`` is the sum
-    of the positive margins from buyer i on.  When every dimension's
-    demand fits its total there is no multiplier: ``scale`` and
-    ``base`` are 0 and so are all margins.
-    """
-    n = len(bids)
-    demands = [b.demand.units for b in bids]
-    caps = [cap.units for cap in instance.seller_caps.values()]
-    zeros = [0] * instance.dimension
-    totals = [sum(column) for column in zip(*caps)] or zeros
-    demanded = [sum(column) for column in zip(*demands)] or zeros
-    k = None
-    for j, (total, demand) in enumerate(zip(totals, demanded)):
-        if demand > total and (k is None or demand * totals[k] > demanded[k] * total):
-            k = j
-    if k is None:
-        return 0, 0, [0] * n, [0] * (n + 1)
-    dense = [(amounts[i], d[k], i) for i, d in enumerate(demands) if d[k]]
-    dense.sort(key=cmp_to_key(_rank))
-    left = totals[k]
-    for price, scale, _i in dense:
-        left -= scale
-        if left < 0:
-            break
-    margins = [a * scale - price * d[k] for a, d in zip(amounts, demands)]
-    rsum = list(accumulate((m if m > 0 else 0 for m in reversed(margins)), initial=0))
-    rsum.reverse()
-    return price * totals[k], scale, margins, rsum
-
-
 def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> WdpSolution:
     """Maximum-objective feasible assignment by depth-first branch and bound.
 
@@ -196,7 +179,7 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     unassigned.  A node at depth i with partial value v is cut by two
     admissible bounds.  One is v plus the sum of all remaining bids.
     The other relaxes one pooled capacity row, the dimension k chosen in
-    ``_relaxation``, with its multiplier lambda fixed at the root (Fisher,
+    ``WdpInstance._setup``, with its multiplier lambda fixed at the root (Fisher,
     "The Lagrangian relaxation method for solving integer programming
     problems", Management Science 1981): every leaf below is worth at
     most v + lambda * R_k + sum over i' >= i of
@@ -215,7 +198,7 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     preference to unassigned.  The capacity bound only removes nodes
     from the search without it, and never the path to the optimum it
     returns.  Residual capacities are packed integers, so a fit test is
-    one subtraction and one mask (see ``_packed``).
+    one subtraction and one mask (see ``WdpInstance._setup``).
 
     Raises SearchBudgetExceeded if more than ``node_budget`` nodes are
     expanded.  It carries the search's incumbent, or greedy's solution

@@ -406,3 +406,77 @@ class TestValidateCommand:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+
+TABLE1_FIXTURE = {
+    "budgets": [15, 9, 10],
+    "bids": [[3, 4, 3, 2, 1, 1], [4, 5, 0, 0, 0, 0], [5, 5, 0, 0, 0, 0]],
+    "items_per_round": 2,
+}
+
+
+def _fixture_with_budget(text):
+    return json.dumps(TABLE1_FIXTURE).replace('"budgets": [15', '"budgets": [' + text, 1)
+
+
+def _scenario_with_demand(text):
+    return json.dumps(TABLE1_SCENARIO).replace('"demand": [1]', '"demand": [' + text + "]", 1)
+
+
+class TestMalformedInputExits2:
+    """Special and huge numbers and unreadable files once printed a traceback (exit 1)."""
+
+    @staticmethod
+    def run_cli(*args):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "mdcauction", *args],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
+        return done.stderr
+
+    @pytest.mark.parametrize(
+        "total, message",
+        [
+            ("Infinity", "must be finite"),
+            ("NaN", "must be finite"),
+            ("sNaN", "must be finite"),
+            ("1e999999", "too large"),
+            ("1e5000", "too large"),
+        ],
+    )
+    def test_special_or_huge_expected_total(self, total, message):
+        stderr = self.run_cli("replay", "table1", "--expect", f"total={total}")
+        assert stderr.startswith(f"error: --expect total: {message}")
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("replay", _fixture_with_budget('"Infinity"'), "budgets[0]: must be finite"),
+            ("replay", _fixture_with_budget("1e999999"), "budgets[0]: too large"),
+            ("validate", _scenario_with_demand("1e999999"), "bids[0][0].demand[0]: too large"),
+        ],
+        ids=["infinite-budget", "huge-budget", "huge-demand"],
+    )
+    def test_special_or_huge_number_in_a_file(self, tmp_path, command, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert self.run_cli(command, str(path)).startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe{}", "not UTF-8 text"),
+            (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+            (_fixture_with_budget("1" * 5000).encode(), "a number has too many digits"),
+        ],
+        ids=["utf16-bom", "deep", "long-int"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_unreadable_file(self, tmp_path, command, content, message):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert self.run_cli(command, str(path)) == f"error: {path}: {message}\n"

@@ -140,20 +140,21 @@ def test_exact_pricing_searches_once_per_round(monkeypatch):
 def test_exact_pricing_packs_each_round_once(monkeypatch):
     # The round solve and the searches without each winner read one setup
     # of the round.
-    packed = []
+    built = []
 
     def counting(instance):
-        packed.append(instance)
-        return pack(instance)
+        built.append(instance)
+        return build(instance)
 
-    pack = wdp._packed
-    monkeypatch.setattr(wdp, "_packed", counting)
+    setup = wdp.WdpInstance._setup
+    build = setup.func
+    monkeypatch.setattr(setup, "func", counting)
     params = GeneratorParams(n_buyers=10, m_sellers=1, horizon=20, seed=101)
     scenario = replace(
         generate_scenario(params), mechanism=MechanismConfig(pricing="critical_value")
     )
     result = run_mafl(scenario)
-    assert len(packed) == len(result.rounds) == 20
+    assert len(built) == len(result.rounds) == 20
     assert sum(len(outcome.payments) for outcome in result.rounds) > 20
 
 

@@ -32,6 +32,32 @@ def test_sub_milli_resolution_rejected():
         to_milli(float("nan"))
 
 
+@pytest.mark.parametrize(
+    "value", [float("inf"), Decimal("-Infinity"), "Infinity", "NaN", "sNaN", Decimal("sNaN")]
+)
+def test_special_numbers_are_not_finite_whatever_their_type(value):
+    with pytest.raises(ValidationError, match="^amount: must be finite$"):
+        to_milli(value, "amount")
+
+
+@pytest.mark.parametrize("value", [10**25, -(10**25), "1e5000", Decimal("1e999999"), 1e300])
+def test_amounts_of_10_to_the_25_units_or_more_are_too_large(value):
+    with pytest.raises(ValidationError, match="^amount: too large"):
+        to_milli(value, "amount")
+
+
+def test_the_largest_amounts_below_the_bound_convert_exactly():
+    # 29 significant digits: a 28-digit Decimal product would round this to a whole number.
+    with pytest.raises(ValidationError, match="resolution"):
+        to_milli("1234567890123456789012345.6789")
+    assert to_milli("9999999999999999999999999.999") == 10**28 - 1
+    assert to_milli(-(10**25 - 1)) == -(10**28 - 1000)
+    assert to_milli("1E+3") == 10**6
+    assert to_milli("0e999999999") == 0
+    with pytest.raises(ValidationError, match="resolution"):
+        to_milli("1e-999999999")
+
+
 def test_format_is_fixed_three_decimals():
     assert format_milli(9000) == "9.000"
     assert format_milli(2222) == "2.222"

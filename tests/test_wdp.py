@@ -43,6 +43,18 @@ def make_instance(amounts, demands, caps):
     return WdpInstance(bids, seller_caps)
 
 
+@pytest.mark.parametrize(
+    "bids, seller_caps, dimension",
+    [
+        ((), {5: ResourceVector((1, 2))}, 2),  # capacities only
+        ((Bid(0, 1, ResourceVector((1, 2, 3))),), {}, 3),  # bids only
+        ((), {}, 0),
+    ],
+)
+def test_the_dimension_comes_from_the_capacities_or_else_the_bids(bids, seller_caps, dimension):
+    assert WdpInstance(bids, seller_caps).dimension == dimension
+
+
 class TestSolveExact:
     def test_unit_demand_top_k(self):
         # three unit-demand buyers, one seller with room for two
@@ -438,8 +450,7 @@ def test_the_root_capacity_bound_is_at_least_the_optimum(instance):
     pairs, _count = least_key_optimum(instance)
     amount_of = {b.buyer_id: b.amount for b in instance.bids}
     optimum = sum(amount_of[b] for b, _ in pairs)
-    bids, amounts, *_, suffix = wdp._packed(instance)
-    base, scale, margins, rsum = wdp._relaxation(instance, bids, amounts)
+    *_, suffix, base, scale, margins, rsum = instance._setup
     multiplier = capacity_multiplier(instance)
     if multiplier is None:
         # Nothing to cut: the search's cut compares 0 with 0.
