@@ -6,9 +6,10 @@ on one scenario), ``compare`` (paired multi-seed ensembles), ``gen``
 Outputs are deterministic given the input file and flags; the only
 wall-clock dependence is the optional timestamp header line, disabled
 with ``--no-header``.  Exit codes: 0 success, 1 expectation failure,
-2 input error (a round past the exact solver's ``MAX_EXACT_BUYERS`` among
-them), 3 run aborted (the exact solver's node budget ran out, or an
-internal invariant check failed).
+2 input error (among them a round past the exact solver's
+``MAX_EXACT_BUYERS`` and a ``compare --seeds`` count past
+``simlab.MAX_SEEDS``), 3 run aborted (the exact solver's node budget
+ran out, or an internal invariant check failed).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .errors import InvariantViolation, ValidationError
 from .mechanisms import replay
 from .money import format_milli, to_milli
 from .rng import GENERATOR_NAME
-from .scenario import SOLVERS, MechanismConfig, Scenario
-from .simlab import MECHANISMS, MechanismSpec, compare, evaluate, generate_scenario
+from .scenario import SOLVERS, Scenario
+from .simlab import MAX_SEEDS, MECHANISMS, MechanismSpec, compare, evaluate, generate_scenario
 from .wdp import SearchBudgetExceeded
 
 
@@ -115,7 +116,7 @@ def cmd_run(args) -> int:
             raise ValidationError("--seed", "scenario has explicit bids; a seed cannot apply")
     else:
         params, mechanism = parsed
-        mechanism = _mechanism_override(mechanism or MechanismConfig(), args)
+        mechanism = _mechanism_override(mechanism, args)
         if args.seed is not None:
             params = replace(params, seed=args.seed)
         scenario = generate_scenario(params, mechanism)
@@ -154,7 +155,7 @@ def cmd_compare(args) -> int:
     )
     if args.seed is not None:
         params = replace(params, seed=args.seed)
-    base_config = _mechanism_override(mechanism or MechanismConfig(), args)
+    base_config = _mechanism_override(mechanism, args)
     names = [name.strip() for name in args.mechanisms.split(",") if name.strip()]
     if not names:
         raise ValidationError("--mechanisms", "expected a comma-separated list")
@@ -183,7 +184,7 @@ def cmd_gen(args) -> int:
     if args.materialize:
         doc = io.scenario_to_doc(generate_scenario(params, mechanism))
     else:
-        doc = io.generator_to_doc(params, mechanism or MechanismConfig())
+        doc = io.generator_to_doc(params, mechanism)
     text = io.dump_json(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -236,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="paired multi-seed mechanism comparison")
     p_cmp.add_argument("params", help="generator-params file or bundled profile (default, users40)")
-    p_cmp.add_argument("--seeds", type=int, default=100, help="number of paired replicates")
+    p_cmp.add_argument(
+        "--seeds", type=int, default=100, help=f"number of paired replicates (at most {MAX_SEEDS})"
+    )
     p_cmp.add_argument(
         "--mechanisms",
         default="mafl,repeated_srmra",

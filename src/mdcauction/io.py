@@ -10,7 +10,7 @@ files are bit-identical across platforms.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -18,6 +18,7 @@ from .errors import ValidationError
 from .mechanisms import AuctionResult
 from .model import Bid, Buyer, ResourceVector, Seller
 from .money import SCALE, format_milli, to_milli
+from .rng import GENERATOR_NAME
 from .scenario import GeneratorParams, MechanismConfig, Scenario
 from .simlab import ComparisonReport, RunMetrics
 
@@ -70,6 +71,9 @@ def _int_value(value, field: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, Decimal) and value == value.to_integral_value():
+        # load_json's limit on integer literals; int() would build every digit of 1e999999.
+        if value and value.adjusted() >= 4300:
+            raise ValidationError(field, "too large: more than 4300 digits")
         return int(value)
     raise ValidationError(field, "expected an integer")
 
@@ -108,55 +112,47 @@ def parse_mechanism(doc: dict, prefix: str = "mechanism.") -> MechanismConfig:
     if doc.get("tie_rule", "lowest_index") != "lowest_index":
         raise ValidationError(f"{prefix}tie_rule", "must be 'lowest_index'")
     kwargs = {}
-    if "gamma" in doc:
-        gamma = doc["gamma"]
-        if isinstance(gamma, bool) or not isinstance(gamma, (int, float, Decimal)):
-            raise ValidationError(f"{prefix}gamma", "expected a number")
-        kwargs["gamma"] = float(gamma)
-    for key in ("scope", "pricing", "solver"):
-        if key in doc:
-            if not isinstance(doc[key], str):
-                raise ValidationError(f"{prefix}{key}", "expected a string")
-            kwargs[key] = doc[key]
+    for f in fields(MechanismConfig):
+        value, field = doc.get(f.name, f.default), f"{prefix}{f.name}"
+        if isinstance(f.default, float):
+            if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
+                raise ValidationError(field, "expected a number")
+            value = float(Decimal(value))  # a huge integer becomes inf, not OverflowError
+        elif not isinstance(value, str):
+            raise ValidationError(field, "expected a string")
+        kwargs[f.name] = value
     return MechanismConfig(**kwargs)
 
 
-_GENERATOR_KEYS = {f.name for f in fields(GeneratorParams)}
-
-
 def parse_generator(doc: dict, prefix: str = "generator.") -> GeneratorParams:
-    _reject_unknown(doc, _GENERATOR_KEYS, prefix)
-    kwargs = {
-        "n_buyers": _int_value(_require(doc, "n_buyers", prefix), f"{prefix}n_buyers"),
-        "m_sellers": _int_value(_require(doc, "m_sellers", prefix), f"{prefix}m_sellers"),
-        "horizon": _int_value(_require(doc, "horizon", prefix), f"{prefix}horizon"),
-    }
-    if "seed" in doc:
-        kwargs["seed"] = _int_value(doc["seed"], f"{prefix}seed")
-    if "dimensions" in doc:
-        kwargs["dimensions"] = _int_value(doc["dimensions"], f"{prefix}dimensions")
-    for key in ("demand_range", "bid_range", "budget_range", "capacity_range", "ask_range"):
-        if key in doc:
-            kwargs[key] = _int_range(doc[key], f"{prefix}{key}")
-    if doc.get("period_capacity_range") is not None:
-        kwargs["period_capacity_range"] = _int_range(
-            doc["period_capacity_range"], f"{prefix}period_capacity_range"
-        )
+    """Read ``GeneratorParams`` by its fields: a field without a default is required,
+    a ``*_range`` takes ``[low, high]`` (or null where its default is None), any
+    other field an integer."""
+    generator_fields = fields(GeneratorParams)
+    _reject_unknown(doc, {f.name for f in generator_fields}, prefix)
+    kwargs = {}
+    for f in generator_fields:
+        if f.name not in doc and f.default is not MISSING:
+            continue
+        value, field = _require(doc, f.name, prefix), f"{prefix}{f.name}"
+        if not f.name.endswith("_range"):
+            kwargs[f.name] = _int_value(value, field)
+        elif value is not None or f.default is not None:
+            kwargs[f.name] = _int_range(value, field)
     try:
         return GeneratorParams(**kwargs)
     except ValidationError as exc:
         raise ValidationError(f"{prefix}{exc.field}", exc.message) from None
 
 
-def _mechanism_block(doc: dict) -> MechanismConfig | None:
-    if "mechanism" not in doc:
-        return None
-    if not isinstance(doc["mechanism"], dict):
+def _mechanism_block(doc: dict) -> MechanismConfig:
+    block = doc.get("mechanism", {})
+    if not isinstance(block, dict):
         raise ValidationError("mechanism", "expected an object")
-    return parse_mechanism(doc["mechanism"])
+    return parse_mechanism(block)
 
 
-def parse_params_file(doc: dict) -> tuple[GeneratorParams, MechanismConfig | None]:
+def parse_params_file(doc: dict) -> tuple[GeneratorParams, MechanismConfig]:
     """Parse a generator-params file; may carry a mechanism block."""
     mechanism = _mechanism_block(doc)
     params = parse_generator({k: v for k, v in doc.items() if k != "mechanism"}, prefix="")
@@ -166,7 +162,7 @@ def parse_params_file(doc: dict) -> tuple[GeneratorParams, MechanismConfig | Non
 _SCENARIO_KEYS = {"buyers", "sellers", "horizon", "dimensions", "bids", "generator", "mechanism"}
 
 
-def parse_scenario(doc: dict) -> Scenario | tuple[GeneratorParams, MechanismConfig | None]:
+def parse_scenario(doc: dict) -> Scenario | tuple[GeneratorParams, MechanismConfig]:
     """Parse a scenario file.
 
     A file with a ``generator`` block parses to the same
@@ -253,7 +249,7 @@ def parse_scenario(doc: dict) -> Scenario | tuple[GeneratorParams, MechanismConf
         horizon=horizon,
         dimensions=dimensions if dimensions is not None else 3,
         bid_matrix=tuple(matrix),
-        mechanism=mechanism or MechanismConfig(),
+        mechanism=mechanism,
     )
 
 
@@ -431,7 +427,7 @@ def _pct(value: float) -> str:
 
 def compare_summary_lines(report: ComparisonReport) -> list[str]:
     lines = [
-        f"seeds={report.n_seeds} rng={report.rng_name} base_seed={report.params.seed}"
+        f"seeds={len(report.seeds)} rng={GENERATOR_NAME} base_seed={report.params.seed}"
         f" bootstrap_resamples={report.bootstrap_resamples}"
     ]
     for stat in report.stats:

@@ -35,10 +35,13 @@ from .wdp import (
 
 @dataclass(frozen=True)
 class AuctionResult:
-    """A full run: per-round outcomes and the final ledger; totals are derived."""
+    """A full run: the final ledger; its rounds and totals are derived."""
 
-    rounds: tuple[RoundOutcome, ...]
     ledger: AuctionLedger
+
+    @property
+    def rounds(self) -> tuple[RoundOutcome, ...]:
+        return tuple(self.ledger.history)
 
     @property
     def total_utility(self) -> int:
@@ -194,7 +197,7 @@ def _run(scenario: Scenario, clear, adjust: bool = False) -> AuctionResult:
             round_bids.append(Bid(buyer.id, amount, raw.demand))
         outcome = clear(round_bids, scenario.sellers, ledger, scenario.mechanism)
         previous_winners = outcome.winners.buyers()
-    return AuctionResult(tuple(ledger.history), ledger)
+    return AuctionResult(ledger)
 
 
 def run_repeated_srmra(scenario: Scenario) -> AuctionResult:
@@ -265,7 +268,7 @@ def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
     buyers = tuple(Buyer(i, b) for i, b in enumerate(budget_milli))
     seller = Seller(0, ResourceVector((items_per_round * SCALE,)))
     if not matrix or not matrix[0]:
-        return AuctionResult((), AuctionLedger.new(buyers, [seller]))
+        return AuctionResult(AuctionLedger.new(buyers, [seller]))
     greedy = MechanismConfig(solver="greedy")
     return run_repeated_srmra(
         Scenario(buyers, (seller,), len(matrix[0]), 1, tuple(matrix), mechanism=greedy)

@@ -9,7 +9,7 @@ budget-aware mechanisms may adjust (``bids_are_valuations``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ValidationError
 from .model import Bid, Buyer, Seller
@@ -41,21 +41,12 @@ class MechanismConfig:
     def __post_init__(self):
         if not 0 <= self.gamma <= MAX_GAMMA:  # also rejects NaN
             raise ValidationError("mechanism.gamma", f"must be in [0, {MAX_GAMMA}]")
-        if self.scope not in ADJUSTMENT_SCOPES:
-            raise ValidationError("mechanism.scope", f"must be one of {ADJUSTMENT_SCOPES}")
-        if self.pricing not in PRICING_MODES:
-            raise ValidationError("mechanism.pricing", f"must be one of {PRICING_MODES}")
-        if self.solver not in SOLVERS:
-            raise ValidationError("mechanism.solver", f"must be one of {SOLVERS}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValidationError(f"mechanism.{name}", f"must be one of {allowed}")
 
 
-def _check_range(name: str, rng: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = rng
-    if lo < 0:
-        raise ValidationError(name, "bounds must be >= 0")
-    if lo > hi:
-        raise ValidationError(name, f"lower bound {lo} exceeds upper bound {hi}")
-    return (int(lo), int(hi))
+_CHOICES = {"scope": ADJUSTMENT_SCOPES, "pricing": PRICING_MODES, "solver": SOLVERS}
 
 
 @dataclass(frozen=True)
@@ -81,27 +72,27 @@ class GeneratorParams:
     ask_range: tuple[int, int] = (1, 10)
 
     def __post_init__(self):
-        if self.n_buyers < 0:
-            raise ValidationError("n_buyers", "must be >= 0")
-        if self.m_sellers < 0:
-            raise ValidationError("m_sellers", "must be >= 0")
-        if self.horizon < 1:
-            raise ValidationError("horizon", "must be >= 1")
-        if self.dimensions < 1:
-            raise ValidationError("dimensions", "must be >= 1")
-        object.__setattr__(self, "demand_range", _check_range("demand_range", self.demand_range))
-        object.__setattr__(self, "bid_range", _check_range("bid_range", self.bid_range))
-        object.__setattr__(self, "budget_range", _check_range("budget_range", self.budget_range))
-        object.__setattr__(
-            self, "capacity_range", _check_range("capacity_range", self.capacity_range)
-        )
-        if self.period_capacity_range is not None:
-            object.__setattr__(
-                self,
-                "period_capacity_range",
-                _check_range("period_capacity_range", self.period_capacity_range),
-            )
-        object.__setattr__(self, "ask_range", _check_range("ask_range", self.ask_range))
+        for name, least in _MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ValidationError(name, f"must be >= {least}")
+        for name, optional in _RANGES:
+            bounds = getattr(self, name)
+            if bounds is None and optional:
+                continue
+            lo, hi = bounds
+            if lo < 0:
+                raise ValidationError(name, "bounds must be >= 0")
+            if lo > hi:
+                raise ValidationError(name, f"lower bound {lo} exceeds upper bound {hi}")
+            object.__setattr__(self, name, (int(lo), int(hi)))
+
+
+_MINIMUMS = {"n_buyers": 0, "m_sellers": 0, "horizon": 1, "dimensions": 1}
+# (name, may be None) for each range, in field order; built once, since
+# ``replace(params, seed=...)`` runs ``__post_init__`` for every seed.
+_RANGES = tuple(
+    (f.name, f.default is None) for f in fields(GeneratorParams) if f.name.endswith("_range")
+)
 
 
 @dataclass(frozen=True)

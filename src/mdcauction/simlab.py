@@ -20,7 +20,7 @@ from .mechanisms import (
 )
 from .model import Bid, Buyer, ResourceVector, Seller
 from .money import SCALE
-from .rng import BLOCK_LANES, GENERATOR_NAME, SplitMix64
+from .rng import BLOCK_LANES, SplitMix64
 from .scenario import GeneratorParams, MechanismConfig, Scenario
 
 MECHANISMS = {
@@ -28,6 +28,10 @@ MECHANISMS = {
     "repeated_srmra": run_repeated_srmra,
     "double_auction": run_double_auction,
 }
+# ``compare`` draws every replicate seed before its first run and keeps a record
+# per seed and mechanism, so memory grows with the seed count; the bound makes a
+# typo such as ``--seeds 10000000000`` an input error, not a process that is killed.
+MAX_SEEDS = 100_000
 
 
 def _scaled(draws: list[int], bounds: tuple[int, int]) -> list[int]:
@@ -202,12 +206,10 @@ class PairwiseStats:
 @dataclass(frozen=True)
 class ComparisonReport:
     params: GeneratorParams
-    n_seeds: int
     seeds: tuple[int, ...]
     records: tuple[SeedRecord, ...]
     stats: tuple[MechanismStats, ...]
     pairwise: tuple[PairwiseStats, ...]
-    rng_name: str = GENERATOR_NAME
     bootstrap_resamples: int = 1000
 
 
@@ -265,11 +267,14 @@ def compare(
     report is a pure function of (params, mechanisms, n_seeds,
     resamples).  Seeds and indices are drawn in bulk (``next_u64s``,
     ``randints``), which gives the same stream as one draw at a time.
+    ``n_seeds`` is at most ``MAX_SEEDS``.
     A spec whose config equals the drawn workload's mechanism runs on
     the workload itself, so the scenario is checked once per seed.
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds", "must be >= 1")
+    if n_seeds > MAX_SEEDS:
+        raise ValidationError("n_seeds", f"must be <= {MAX_SEEDS}")
     specs = [MechanismSpec(m) if isinstance(m, str) else m for m in mechanisms]
     if not specs:
         raise ValidationError("mechanisms", "at least one mechanism is required")
@@ -342,7 +347,6 @@ def compare(
 
     return ComparisonReport(
         params=params,
-        n_seeds=n_seeds,
         seeds=seeds,
         records=tuple(records),
         stats=stats,

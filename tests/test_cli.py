@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from mdcauction.io import (
     parse_scenario,
     scenario_to_doc,
 )
+from mdcauction.rng import SplitMix64
 
 TABLE1_SCENARIO = {
     "dimensions": 1,
@@ -107,6 +109,10 @@ class TestSchemas:
     def test_generator_errors_keep_the_block_prefix(self):
         with pytest.raises(ValidationError, match=r"^generator\.horizon: required"):
             parse_scenario({"generator": {"n_buyers": 2, "m_sellers": 1}})
+
+    def test_missing_mechanism_block_parses_to_the_default_config(self):
+        assert parse_params_file(SMALL_PARAMS)[1] == MechanismConfig()
+        assert parse_scenario(dict(TABLE1_SCENARIO, mechanism={})).mechanism == MechanismConfig()
 
     def test_params_with_mechanism_block(self):
         params, mechanism = parse_params_file(
@@ -302,6 +308,16 @@ class TestCompareCommand:
         )
         assert len(lines) == 2 + 5 * 2
 
+    def test_seed_count_past_the_cap_exits_2_before_any_draw(
+        self, params_path, monkeypatch, capsys
+    ):
+        def no_draws(rng, count):
+            raise AssertionError(f"drew {count} outputs")
+
+        monkeypatch.setattr(SplitMix64, "next_u64s", no_draws)
+        assert main(["compare", str(params_path), "--seeds", "100001"]) == 2
+        assert capsys.readouterr().err == "error: n_seeds: must be <= 100000\n"
+
     def test_unknown_mechanism_exits_2(self, params_path, capsys):
         assert main([
             "compare", str(params_path), "--seeds", "2", "--mechanisms", "mafl,vcg",
@@ -365,6 +381,102 @@ class TestGenCommand:
         assert mafl_out[2:] == srmra_out[2:]
 
 
+_MISSING = object()
+
+
+def _changed(doc: dict, changes: dict) -> dict:
+    """``doc`` with ``changes`` applied; a ``_MISSING`` value deletes the key."""
+    out = dict(doc)
+    for key, value in changes.items():
+        if value is _MISSING:
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
+
+
+_RANGES = ("demand_range", "bid_range", "budget_range", "capacity_range", "ask_range",
+           "period_capacity_range")
+
+# One fault per input; the message is the exact `error:` text after any
+# `generator.` prefix, or None where the input is accepted.
+GENERATOR_FAULTS = [
+    *(
+        pytest.param({name: _MISSING}, f"{name}: required field is missing",
+                     id=f"{name}-missing")
+        for name in ("n_buyers", "m_sellers", "horizon")
+    ),
+    *(
+        pytest.param({name: value}, f"{name}: expected an integer", id=f"{name}-{label}")
+        for name in ("n_buyers", "m_sellers", "horizon", "seed", "dimensions")
+        for label, value in (("string", "4"), ("fraction", 4.5), ("boolean", True),
+                             ("null", None), ("array", [4]))
+    ),
+    pytest.param({"n_buyers": -1}, "n_buyers: must be >= 0", id="n_buyers-negative"),
+    pytest.param({"m_sellers": -1}, "m_sellers: must be >= 0", id="m_sellers-negative"),
+    pytest.param({"horizon": 0}, "horizon: must be >= 1", id="horizon-zero"),
+    pytest.param({"dimensions": 0}, "dimensions: must be >= 1", id="dimensions-zero"),
+    pytest.param({"seed": 2.0, "horizon": 3.0}, None, id="integral-fractions-accepted"),
+    pytest.param({"surprise": 1}, "surprise: unknown field", id="unknown-field"),
+    *(
+        case
+        for name in _RANGES
+        for case in (
+            pytest.param({name: [1, 2, 3]}, f"{name}: expected [low, high]",
+                         id=f"{name}-three"),
+            pytest.param({name: 5}, f"{name}: expected [low, high]", id=f"{name}-scalar"),
+            pytest.param({name: {"low": 1}}, f"{name}: expected [low, high]",
+                         id=f"{name}-object"),
+            pytest.param({name: [5, 1]}, f"{name}: lower bound 5 exceeds upper bound 1",
+                         id=f"{name}-reversed"),
+            pytest.param({name: [-1, 2]}, f"{name}: bounds must be >= 0",
+                         id=f"{name}-negative"),
+            pytest.param({name: [1.5, 2]}, f"{name}[0]: expected an integer",
+                         id=f"{name}-fraction"),
+            pytest.param({name: [1, True]}, f"{name}[1]: expected an integer",
+                         id=f"{name}-boolean"),
+            pytest.param({name: ["1", 2]}, f"{name}[0]: expected an integer",
+                         id=f"{name}-string"),
+            pytest.param(
+                {name: None},
+                None if name == "period_capacity_range" else f"{name}: expected [low, high]",
+                id=f"{name}-null",
+            ),
+            pytest.param({name: [2, 2]}, None, id=f"{name}-point"),
+        )
+    ),
+]
+
+MECHANISM_FAULTS = [
+    *(
+        pytest.param({"gamma": value}, "mechanism.gamma: expected a number", id=f"gamma-{label}")
+        for label, value in (("string", "1"), ("boolean", True), ("null", None),
+                             ("array", [1]))
+    ),
+    pytest.param({"gamma": -1}, "mechanism.gamma: must be in [0, 1000]", id="gamma-negative"),
+    pytest.param({"gamma": 1000.5}, "mechanism.gamma: must be in [0, 1000]", id="gamma-high"),
+    *(
+        pytest.param({name: value}, f"mechanism.{name}: expected a string",
+                     id=f"{name}-{label}")
+        for name in ("scope", "pricing", "solver")
+        for label, value in (("number", 1), ("null", None), ("boolean", False))
+    ),
+    pytest.param({"scope": "everyone"},
+                 "mechanism.scope: must be one of ('winners_only', 'all_buyers')",
+                 id="scope-unknown"),
+    pytest.param({"pricing": "second_price"},
+                 "mechanism.pricing: must be one of ('first_price', 'critical_value')",
+                 id="pricing-unknown"),
+    pytest.param({"solver": "milp"}, "mechanism.solver: must be one of ('exact', 'greedy')",
+                 id="solver-unknown"),
+    pytest.param({"tie_rule": "random"}, "mechanism.tie_rule: must be 'lowest_index'",
+                 id="tie_rule-random"),
+    pytest.param({"tie_rule": None}, "mechanism.tie_rule: must be 'lowest_index'",
+                 id="tie_rule-null"),
+    pytest.param({"surprise": 1}, "mechanism.surprise: unknown field", id="unknown-field"),
+]
+
+
 class TestValidateCommand:
     def test_ok_paths(self, table1_path, params_path, capsys):
         assert main(["validate", str(table1_path)]) == 0
@@ -406,6 +518,36 @@ class TestValidateCommand:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [False, True], ids=["params", "generator-block"])
+    @pytest.mark.parametrize("changes, message", GENERATOR_FAULTS)
+    def test_generator_fault_prints_one_pinned_line(
+        self, tmp_path, capsys, block, changes, message
+    ):
+        generator = _changed(SMALL_PARAMS, changes)
+        if "n_buyers" not in generator and not block:
+            # Without n_buyers a flat file is not recognised as params at all.
+            message = "scenario.m_sellers: unknown field"
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"generator": generator} if block else generator))
+        if message is None:
+            assert main(["validate", str(path)]) == 0
+            return
+        assert main(["validate", str(path)]) == 2
+        prefix = "generator." if block else ""
+        assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+
+    @pytest.mark.parametrize("holder", ["params", "scenario"])
+    @pytest.mark.parametrize("changes, message", MECHANISM_FAULTS)
+    def test_mechanism_fault_prints_one_pinned_line(
+        self, tmp_path, capsys, holder, changes, message
+    ):
+        base = SMALL_PARAMS if holder == "params" else TABLE1_SCENARIO
+        doc = dict(base, mechanism=_changed({"gamma": 1, "solver": "exact"}, changes))
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 TABLE1_FIXTURE = {
@@ -465,6 +607,40 @@ class TestMalformedInputExits2:
         path = tmp_path / "input.json"
         path.write_text(text)
         assert self.run_cli(command, str(path)).startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [dict(SMALL_PARAMS, mechanism={"gamma": 10**400}),
+         dict(TABLE1_SCENARIO, mechanism={"gamma": 10**400})],
+        ids=["params", "scenario"],
+    )
+    def test_huge_integer_gamma(self, tmp_path, doc):
+        # float() of a 401-digit integer once raised OverflowError (exit 1).
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        stderr = self.run_cli("validate", str(path))
+        assert stderr == "error: mechanism.gamma: must be in [0, 1000]\n"
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("validate", '{"n_buyers": 2, "m_sellers": 1, "horizon": 1e999999}', "horizon"),
+            ("replay", json.dumps(TABLE1_FIXTURE).replace(": 2}", ": -1e5000}"),
+             "items_per_round"),
+        ],
+        ids=["params-horizon", "fixture-items"],
+    )
+    def test_exponent_form_integer_past_the_digit_limit(
+        self, tmp_path, command, text, message
+    ):
+        # int() of 1e999999 builds a million digits first; `validate` once ran
+        # 37 s and accepted the file.
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        started = time.monotonic()
+        stderr = self.run_cli(command, str(path))
+        assert time.monotonic() - started < 10
+        assert stderr == f"error: {message}: too large: more than 4300 digits\n"
 
     @pytest.mark.parametrize(
         "content, message",

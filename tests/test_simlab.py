@@ -17,6 +17,7 @@ from mdcauction import (
     generate_scenario,
     replay,
     run_repeated_srmra,
+    simlab,
 )
 from mdcauction.model import Bid, Buyer, ResourceVector, Seller
 from mdcauction.money import SCALE
@@ -215,6 +216,18 @@ class TestCompare:
             compare(self.params, ["nope"], n_seeds=1)
         with pytest.raises(ValidationError, match="duplicate"):
             compare(self.params, ["mafl", "mafl"], n_seeds=1)
+
+    def test_seed_count_past_the_cap_is_rejected_before_any_draw(self, monkeypatch):
+        # Every replicate seed is drawn in one call before the first run, so
+        # an unbounded count would grow memory with the count before any run.
+        def no_draws(rng, count):
+            raise AssertionError(f"drew {count} outputs")
+
+        monkeypatch.setattr(SplitMix64, "next_u64s", no_draws)
+        with pytest.raises(ValidationError, match=r"^n_seeds: must be <= 100000$"):
+            compare(self.params, ["mafl"], n_seeds=simlab.MAX_SEEDS + 1)
+        with pytest.raises(AssertionError, match="drew 100000 outputs"):
+            compare(self.params, ["mafl"], n_seeds=simlab.MAX_SEEDS)
 
     def test_bootstrap_memory_does_not_grow_with_resamples_times_seeds(self):
         # 1000 resamples x 1000 seeds: holding every resample's indices at
