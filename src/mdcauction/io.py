@@ -46,9 +46,11 @@ def load_json(source) -> dict:
 
 
 def detect_kind(doc: dict) -> str:
+    """``fixture``, ``params`` or ``scenario``: a flat file naming any
+    generator field that a scenario does not have is a params file."""
     if "items_per_round" in doc or "budgets" in doc:
         return "fixture"
-    if "n_buyers" in doc:
+    if not _PARAMS_ONLY_KEYS.isdisjoint(doc):
         return "params"
     return "scenario"
 
@@ -160,6 +162,7 @@ def parse_params_file(doc: dict) -> tuple[GeneratorParams, MechanismConfig]:
 
 
 _SCENARIO_KEYS = {"buyers", "sellers", "horizon", "dimensions", "bids", "generator", "mechanism"}
+_PARAMS_ONLY_KEYS = {f.name for f in fields(GeneratorParams)} - _SCENARIO_KEYS
 
 
 def parse_scenario(doc: dict) -> Scenario | tuple[GeneratorParams, MechanismConfig]:

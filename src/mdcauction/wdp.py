@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import accumulate, chain
 from operator import attrgetter, lshift, mul, sub
 
@@ -20,6 +20,9 @@ from .errors import InvariantViolation, ValidationError
 from .model import Assignment, Bid, ResourceVector
 
 DEFAULT_NODE_BUDGET = 5_000_000
+# ``solve_exact`` searches in buyer id order for at most this many nodes
+# before it proves the optimum in greedy's density order instead.
+SWITCH_NODES = 4096
 # The exact searches recurse up to once per buyer, so a round they take on
 # must stay well inside Python's default recursion limit of 1000 frames.
 MAX_EXACT_BUYERS = 500
@@ -66,12 +69,27 @@ class WdpInstance:
 
     @cached_property
     def _setup(self):
-        """The exact searches' state, built once per instance: ``(bids, amounts,
-        guard, rooms, needs, choices, suffix, base, scale, margins, rsum)``.
+        """``_layout`` of the bids in buyer id order, built once per instance."""
+        return self._layout(sorted(self.bids, key=attrgetter("buyer_id")))
 
-        ``bids`` are in buyer id order and ``choices[i]`` lists
-        ``(seller index, (buyer id, seller id))`` by ascending seller id;
-        ``suffix[i]`` is the sum of the amounts from buyer i on.
+    def _dense_setup(self):
+        """``_layout`` of the bids greedy ranks, in greedy's rank order.
+
+        ``solve_exact`` proves the optimum on it once its buyer-order
+        search runs long, and builds it only then; nothing else reads it,
+        so it is not kept.  Greedy ranks only the bids with a positive
+        amount; a zero bid adds nothing to any assignment, so the optimum
+        is the same without them.
+        """
+        return self._layout([row[3] for row in _ranked(self, *_scale(self))])
+
+    def _layout(self, bids: list[Bid]):
+        """The exact searches' state for ``bids`` in the order given: ``(bids,
+        amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum)``.
+
+        ``choices[i]`` lists ``(seller index, (buyer id, seller id))`` by
+        ascending seller id; ``suffix[i]`` is the sum of the amounts from
+        bid i on.
 
         Each seller's residual capacity is one integer with a field of
         B + 1 bits per dimension, where B is the bit length of the largest
@@ -97,7 +115,7 @@ class WdpInstance:
         the first one whose demand no longer fits in what is left of T_k;
         the multiplier is lambda = a_c / d_c.  ``scale`` is d_c, ``base`` is
         a_c * T_k, ``margins[i]`` is a_i * d_c - a_c * d_ik, and ``rsum[i]``
-        is the sum of the positive margins from buyer i on.  When every
+        is the sum of the positive margins from bid i on.  When every
         dimension's demand fits its total there is no multiplier: ``scale``
         and ``base`` are 0 and so are all margins.
 
@@ -105,14 +123,13 @@ class WdpInstance:
         one cut short by its node budget leaves its copy changed.  Raises
         ValidationError past ``MAX_EXACT_BUYERS`` bids.
         """
-        n = len(self.bids)
+        n = len(bids)
         if n > MAX_EXACT_BUYERS:
             raise ValidationError(
                 "bids",
                 f"{n} bids exceed the exact solver's limit of "
                 f"{MAX_EXACT_BUYERS} buyers a round; use the greedy solver",
             )
-        bids = sorted(self.bids, key=attrgetter("buyer_id"))
         amounts = [b.amount for b in bids]
         demands = [b.demand.units for b in bids]
         seller_ids = sorted(self.seller_caps)
@@ -138,7 +155,7 @@ class WdpInstance:
         margins, rsum = [0] * n, [0] * (n + 1)
         if k is not None:
             dense = [(amounts[i], d[k], i) for i, d in enumerate(demands) if d[k]]
-            dense.sort(key=cmp_to_key(_rank))
+            _by_density(dense)
             left = totals[k]
             for price, scale, _i in dense:
                 left -= scale
@@ -163,7 +180,7 @@ class WdpSolution:
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Exact search ran out of nodes; carries its incumbent, or greedy's solution if better."""
+    """Exact search ran out of nodes; carries its best assignment, or greedy's if better."""
 
     def __init__(self, node_budget: int, best: WdpSolution):
         self.node_budget = node_budget
@@ -174,15 +191,15 @@ class SearchBudgetExceeded(RuntimeError):
 def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> WdpSolution:
     """Maximum-objective feasible assignment by depth-first branch and bound.
 
-    Buyers are processed in id order; each node branches over the
+    The search processes buyers in id order; each node branches over the
     sellers (ascending id) with room left, then over leaving the buyer
     unassigned.  A node at depth i with partial value v is cut by two
     admissible bounds.  One is v plus the sum of all remaining bids.
     The other relaxes one pooled capacity row, the dimension k chosen in
-    ``WdpInstance._setup``, with its multiplier lambda fixed at the root (Fisher,
-    "The Lagrangian relaxation method for solving integer programming
-    problems", Management Science 1981): every leaf below is worth at
-    most v + lambda * R_k + sum over i' >= i of
+    ``WdpInstance._layout``, with its multiplier lambda fixed at the root
+    (Fisher, "The Lagrangian relaxation method for solving integer
+    programming problems", Management Science 1981): every leaf below is
+    worth at most v + lambda * R_k + sum over i' >= i of
     max(0, a_i' - lambda * d_i'k), where R_k is the sellers' pooled
     residual in k, because the leaf's demand in k fits R_k.  Scaled by
     d_c that is ``base + reduced + rsum[i]``, where ``reduced`` sums the
@@ -198,29 +215,66 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     preference to unassigned.  The capacity bound only removes nodes
     from the search without it, and never the path to the optimum it
     returns.  Residual capacities are packed integers, so a fit test is
-    one subtraction and one mask (see ``WdpInstance._setup``).
+    one subtraction and one mask (see ``WdpInstance._layout``).
 
-    Raises SearchBudgetExceeded if more than ``node_budget`` nodes are
-    expanded.  It carries the search's incumbent, or greedy's solution
-    where that is strictly better; either way not proven optimal.
-    Raises ValidationError past ``MAX_EXACT_BUYERS`` bids.
+    Buyer id order is a poor branch order for a knapsack, so the nodes
+    of ``node_budget`` are spent in up to three phases:
+
+    0. The search above, for at most ``SWITCH_NODES`` nodes.  If it
+       finishes, that is the answer.
+    1. The same search over the bids in greedy's density order
+       (``WdpInstance._dense_setup``; Kellerer, Pferschy & Pisinger,
+       *Knapsack Problems*, 2004, ch. 9), its incumbent started at v0,
+       the value of phase 0's incumbent (-1 if that has no pair).  It
+       proves the optimum OPT.
+       Every leaf ahead of phase 0's incumbent in buyer order is worth
+       less than v0, so if OPT is v0, that incumbent is the answer.
+    2. Otherwise the buyer-order search again, its incumbent started at
+       OPT - 1, stopped at its first leaf.  No cut removes the path to
+       the first leaf worth OPT, so that leaf is the one phase 0 would
+       have returned with nodes enough to finish.
+
+    Raises SearchBudgetExceeded if the phases together would expand
+    more than ``node_budget`` nodes.  It carries the best of the
+    phases' incumbents and greedy's solution, the earliest on a tie,
+    not proven optimal.  Raises ValidationError past
+    ``MAX_EXACT_BUYERS`` bids.
     """
+    setup = instance._setup
+    first = min(node_budget, SWITCH_NODES)
     try:
-        return _search(instance._setup, node_budget, -1)
+        return _search(setup, first, -1)[0]
     except SearchBudgetExceeded as exc:
-        greedy = solve_greedy(instance)
-        if greedy.objective > exc.best.objective:
-            raise SearchBudgetExceeded(node_budget, greedy) from None
-        raise
+        found = [exc.best]
+    if node_budget > first:
+        left = node_budget - first
+        floor = found[0].objective if found[0].assignment else -1
+        try:
+            proof, spent = _search(instance._dense_setup(), left, floor)
+            if proof.objective == floor:
+                return WdpSolution(found[0].assignment, floor, True)
+            found.append(WdpSolution(proof.assignment, proof.objective, False))
+            return _search(setup, left - spent, proof.objective - 1, stop=True)[0]
+        except SearchBudgetExceeded as exc:
+            found.append(exc.best)
+    found.append(solve_greedy(instance))
+    best = max(found, key=attrgetter("objective"))
+    raise SearchBudgetExceeded(node_budget, best) from None
 
 
-def _search(setup, node_budget: int, best_value: int) -> WdpSolution:
-    """``solve_exact``'s branch and bound on ``setup``, laid out as ``WdpInstance._setup``.
+class _Stop(Exception):
+    """Unwinds a search stopped at its first leaf."""
+
+
+def _search(setup, node_budget: int, best_value: int, stop: bool = False):
+    """``solve_exact``'s branch and bound on ``setup``, laid out as ``WdpInstance._layout``.
 
     The incumbent starts at ``best_value``, below the optimum, with no
     pairs, and is replaced only on strict improvement; the search
-    returns it, proven optimal.  Raises SearchBudgetExceeded past
-    ``node_budget`` nodes, carrying the best leaf reached, if any.
+    returns ``(incumbent, nodes expanded)``, the incumbent proven
+    optimal.  With ``stop`` it returns at the first leaf worth more than
+    ``best_value``.  Raises SearchBudgetExceeded past ``node_budget``
+    nodes, carrying the best leaf reached, if any.
     """
     _bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = setup
     rooms = list(rooms)
@@ -244,6 +298,8 @@ def _search(setup, node_budget: int, best_value: int) -> WdpSolution:
                 best_value = value
                 best_pairs = tuple(chosen)
                 bar = (value + 1) * scale - base
+                if stop:
+                    raise _Stop
             return
         need = needs[i]
         taken = value + amounts[i]
@@ -259,8 +315,11 @@ def _search(setup, node_budget: int, best_value: int) -> WdpSolution:
                 rooms[j] = room
         descend(i + 1, value, reduced)
 
-    descend(0, 0, 0)
-    return WdpSolution(Assignment(best_pairs), best_value, True)
+    try:
+        descend(0, 0, 0)
+    except _Stop:
+        pass
+    return WdpSolution(Assignment(best_pairs), best_value, True), nodes
 
 
 def solve_exact_without(
@@ -303,7 +362,7 @@ def solve_exact_without(
             setup = (
                 bids, amounts, guard, rooms, needs, dropped, lowered, base, scale, margins, relaxed
             )
-            found[w] = _search(setup, node_budget, solution.objective - amount - 1)
+            found[w] = _search(setup, node_budget, solution.objective - amount - 1)[0]
     except SearchBudgetExceeded:
         alone = {}
         for w in buyer_ids:
@@ -322,9 +381,32 @@ def _scale(instance: WdpInstance) -> tuple[int, list[int]]:
     return lcm, [lcm // t for t in norms]
 
 
-def _rank(x, y) -> int:
-    """Negative when ``x = (amount, weight, buyer_id, ...)`` ranks ahead of ``y``."""
-    return (y[0] * x[1] - x[0] * y[1]) or (x[2] - y[2])
+def _by_density(rows: list) -> None:
+    """Sort ``rows`` of ``(amount, weight, tie, ...)`` by descending amount / weight, then ``tie``.
+
+    Every weight is positive.  The key is floor(amount * S / weight) with
+    S the largest weight squared: two different ratios differ by at least
+    1 / S, so their keys differ in the same direction, and equal ratios
+    get equal keys.
+    """
+    scale = max((row[1] for row in rows), default=0) ** 2
+    rows.sort(key=lambda row: (-(row[0] * scale // row[1]), row[2]))
+
+
+def _ranked(instance: WdpInstance, lcm: int, units: list[int]) -> list:
+    """``(amount, weight, buyer_id, bid, need)`` for each positive bid, in greedy's rank order.
+
+    ``need[k] = d_k * units[k]`` and ``weight = L + sum(need)``, L times
+    the bid's normalized weight; bids rank by descending amount / weight,
+    ties to the lower buyer id.
+    """
+    rows = []
+    for bid in instance.bids:
+        if bid.amount > 0:
+            need = list(map(mul, bid.demand.units, units))
+            rows.append((bid.amount, lcm + sum(need), bid.buyer_id, bid, need))
+    _by_density(rows)
+    return rows
 
 
 def _greedy_placements(instance: WdpInstance, lcm: int, units: list[int]):
@@ -335,17 +417,11 @@ def _greedy_placements(instance: WdpInstance, lcm: int, units: list[int]):
     residual after the placement, scaled by ``units``.  A seller fits
     when its least slack ``(room_k - d_k) * units[k]`` is >= 0.
     """
-    ranked = []
-    for bid in instance.bids:
-        if bid.amount > 0:
-            need = list(map(mul, bid.demand.units, units))
-            ranked.append((bid.amount, lcm + sum(need), bid.buyer_id, bid, need))
-    ranked.sort(key=cmp_to_key(_rank))
     rooms = [
         (s, list(map(mul, instance.seller_caps[s].units, units)))
         for s in sorted(instance.seller_caps)
     ]
-    for _amount, weight, _buyer_id, bid, need in ranked:
+    for _amount, weight, _buyer_id, bid, need in _ranked(instance, lcm, units):
         best = best_room = None
         best_slack = -1
         for s, room in rooms:
@@ -368,8 +444,8 @@ def solve_greedy(instance: WdpInstance) -> WdpSolution:
     slack (max of the minimum normalized residual).  Ties fall to the
     lower buyer id, then the lower seller id.  Scaling every normalized
     quantity by the lcm of the capacity totals makes it an integer, and
-    densities are compared by cross-multiplication, so every comparison
-    is exact (see ``_greedy_placements``).
+    densities are ordered by an exact integer key (see ``_by_density``
+    and ``_greedy_placements``).
     """
     lcm, units = _scale(instance)
     pairs: list[tuple[int, int]] = []

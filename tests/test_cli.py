@@ -132,6 +132,8 @@ class TestSchemas:
     def test_kind_detection(self):
         assert detect_kind({"budgets": []}) == "fixture"
         assert detect_kind(SMALL_PARAMS) == "params"
+        assert detect_kind({"m_sellers": 1, "horizon": 2}) == "params"
+        assert detect_kind({"horizon": 2, "dimensions": 1}) == "scenario"
         assert detect_kind(TABLE1_SCENARIO) == "scenario"
 
 
@@ -525,9 +527,6 @@ class TestValidateCommand:
         self, tmp_path, capsys, block, changes, message
     ):
         generator = _changed(SMALL_PARAMS, changes)
-        if "n_buyers" not in generator and not block:
-            # Without n_buyers a flat file is not recognised as params at all.
-            message = "scenario.m_sellers: unknown field"
         path = tmp_path / "input.json"
         path.write_text(json.dumps({"generator": generator} if block else generator))
         if message is None:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -29,6 +30,17 @@ from wdp_oracle import (
     plain_list_exact,
     random_unit_instance,
 )
+
+
+def ladder_instance(buyers, sellers, seed):
+    """Round 1 of a generated one-round scenario on the default generator ranges."""
+    scenario = generate_scenario(
+        GeneratorParams(n_buyers=buyers, m_sellers=sellers, horizon=1, seed=seed)
+    )
+    return WdpInstance(
+        tuple(row[0] for row in scenario.bid_matrix),
+        {s.id: s.round_capacity for s in scenario.sellers},
+    )
 
 
 def make_instance(amounts, demands, caps):
@@ -335,11 +347,31 @@ def _outcome(solve, instance, node_budget):
         return False, exc.best
 
 
+# solve_exact switches phases after SWITCH_NODES nodes; the small values make
+# the phases run on instances small enough for the oracles.
+switches = st.sampled_from([wdp.SWITCH_NODES, 1, 2, 5, 40])
+
+
+def _phased(switch):
+    """``solve_exact`` switching phases after ``switch`` nodes."""
+
+    def solve(instance, node_budget):
+        with mock.patch.object(wdp, "SWITCH_NODES", switch):
+            return solve_exact(instance, node_budget)
+
+    return solve
+
+
+def _oracle(switch):
+    """``list_exact`` switching phases after ``switch`` nodes."""
+    return lambda instance, node_budget: list_exact(instance, node_budget, switch)
+
+
 @settings(max_examples=300, deadline=None)
-@given(exact_instances(), st.one_of(st.integers(1, 300), st.integers(1, 10**6)))
-def test_exact_matches_the_list_oracle(instance, node_budget):
-    finished, solution = _outcome(solve_exact, instance, node_budget)
-    oracle_finished, expected = _outcome(list_exact, instance, node_budget)
+@given(exact_instances(), st.one_of(st.integers(1, 300), st.integers(1, 10**6)), switches)
+def test_exact_matches_the_list_oracle(instance, node_budget, switch):
+    finished, solution = _outcome(_phased(switch), instance, node_budget)
+    oracle_finished, expected = _outcome(_oracle(switch), instance, node_budget)
     assert finished == oracle_finished
     if not finished:
         greedy = solve_greedy(instance)
@@ -355,15 +387,8 @@ def test_exact_matches_the_list_oracle(instance, node_budget):
     [(12, 1, 1), (12, 1, 2), (15, 2, 3), (15, 2, 4), (15, 2, 10), (20, 2, 2), (20, 2, 12)],
 )
 def test_exact_matches_the_list_oracle_past_ten_buyers(buyers, sellers, seed):
-    # Round 1 of a generated scenario on the default generator ranges; most
-    # 20 x 2 seeds need more nodes than a quick test allows, these two do not.
-    scenario = generate_scenario(
-        GeneratorParams(n_buyers=buyers, m_sellers=sellers, horizon=1, seed=seed)
-    )
-    instance = WdpInstance(
-        tuple(row[0] for row in scenario.bid_matrix),
-        {s.id: s.round_capacity for s in scenario.sellers},
-    )
+    # Most 20 x 2 seeds need more nodes than a quick test allows, these two do not.
+    instance = ladder_instance(buyers, sellers, seed)
     solution = solve_exact(instance, node_budget=2_000_000)
     expected = list_exact(instance, node_budget=2_000_000)
     assert solution.optimal and expected.optimal
@@ -395,10 +420,13 @@ def least_key_optimum(instance):
     return min(optima)[1], len(optima)
 
 
-def test_exact_returns_the_optimum_first_in_search_order():
+@pytest.mark.parametrize("switch", [wdp.SWITCH_NODES, 1, 3])
+def test_exact_returns_the_optimum_first_in_search_order(switch):
     # Critical-value pricing settles the tie at the threshold by this order.
+    # With an early switch the phases run, and the density order often
+    # reaches another optimum first.
     rng = random.Random(9)
-    tied = 0
+    tied = dense_first_differs = 0
     for _ in range(300):
         d = rng.randint(0, 2)
         buyer_ids = rng.sample(range(12), rng.randint(0, 6))
@@ -412,19 +440,30 @@ def test_exact_returns_the_optimum_first_in_search_order():
         }
         instance = WdpInstance(bids, caps)
         pairs, optima = least_key_optimum(instance)
-        solution = solve_exact(instance)
+        solution = _phased(switch)(instance, wdp.DEFAULT_NODE_BUDGET)
+        assert solution.optimal
         assert dict(solution.assignment) == dict(pairs), instance
         tied += optima > 1
+        dense = wdp._search(instance._dense_setup(), 10**9, -1)[0]
+        dense_first_differs += dense.assignment != solution.assignment
     assert tied > 0
+    assert dense_first_differs > 10
 
 
 @settings(max_examples=300, deadline=None)
-@given(exact_instances(), st.one_of(st.integers(1, 300), st.integers(1, 10**6)))
-def test_exact_finishes_wherever_the_search_without_the_capacity_bound_does(instance, node_budget):
+@given(exact_instances(), st.one_of(st.integers(1, 300), st.integers(1, 10**6)), switches)
+def test_exact_finishes_wherever_the_search_without_the_capacity_bound_does(
+    instance, node_budget, switch
+):
+    # Up to the switch solve_exact is one buyer-order search, which the
+    # capacity bound only shortens.  Past it the phases may need more
+    # nodes than that search: it finishes where the phased oracle does.
     finished, plain = _outcome(plain_list_exact, instance, node_budget)
     if not finished:
         return
-    solution = solve_exact(instance, node_budget)
+    if node_budget > switch and not _outcome(_oracle(switch), instance, node_budget)[0]:
+        return
+    solution = _phased(switch)(instance, node_budget)
     assert solution.optimal
     assert solution.assignment.pairs == plain.assignment.pairs
     assert solution.objective == plain.objective
@@ -469,15 +508,62 @@ def test_the_root_capacity_bound_is_at_least_the_optimum(instance):
 def test_the_capacity_bound_proves_the_ladder_25_by_2_at_seed_101():
     # Exhausts 100 000 nodes without the bound.  The optimum was recorded
     # by an independent pooled fractional-knapsack search.
-    scenario = generate_scenario(GeneratorParams(n_buyers=25, m_sellers=2, horizon=1, seed=101))
-    instance = WdpInstance(
-        tuple(row[0] for row in scenario.bid_matrix),
-        {s.id: s.round_capacity for s in scenario.sellers},
-    )
+    instance = ladder_instance(25, 2, 101)
     solution = solve_exact(instance, node_budget=100_000)
     assert solution.optimal
     assert solution.objective == 150_000
     assert check_feasible(solution.assignment, instance)
+
+
+def buyer_order(instance):
+    """The buyer-order search with no node budget to speak of: ``solve_exact`` without phases."""
+    return wdp._search(instance._setup, 10**9, -1)[0]
+
+
+def test_the_phases_prove_32_of_40_ladder_instances_within_100k_nodes():
+    # The wdp-ladder sizes up to 30 x 2 at seeds 101-108.  The buyer-order
+    # search alone proves 27 of them within the budget.
+    proven = 0
+    for seed in range(101, 109):
+        for buyers, sellers in [(10, 1), (15, 2), (20, 2), (25, 2), (30, 2)]:
+            instance = ladder_instance(buyers, sellers, seed)
+            try:
+                solution = solve_exact(instance, node_budget=100_000)
+            except SearchBudgetExceeded:
+                continue
+            proven += 1
+            assert solution == buyer_order(instance), (seed, buyers)
+            if sellers == 1:
+                amounts = [b.amount for b in instance.bids]
+                demands = [tuple(b.demand) for b in instance.bids]
+                caps = [tuple(cap) for cap in instance.seller_caps.values()]
+                assert solution.objective == brute_force_best(amounts, demands, caps)
+    assert proven == 32
+
+
+@pytest.mark.parametrize("seed, phase_one, phase_two", [(101, 35, 20), (107, 652, 0)])
+def test_the_phases_on_the_15_by_2_ladder(seed, phase_one, phase_two):
+    # Phase 0 runs out on both, and on both the density order reaches
+    # another optimum first.  At seed 101 phase 1 proves the optimum, and
+    # phase 2 goes on to the buyer-order one.  At seed 107 phase 1 finds
+    # nothing better than phase 0's incumbent, which is the answer, and
+    # phase 2 does not run.  One node less and the last phase runs out.
+    instance = ladder_instance(15, 2, seed)
+    expected = buyer_order(instance)
+    dense_first = wdp._search(instance._dense_setup(), 10**9, -1)[0]
+    assert dense_first.objective == expected.objective
+    assert dense_first.assignment != expected.assignment
+    needed = nodes_needed(instance)
+    assert needed == wdp.SWITCH_NODES + phase_one + phase_two
+    assert solve_exact(instance, needed) == expected
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        solve_exact(instance, needed - 1)
+    best = exc.value.best
+    assert (best.objective, best.optimal) == (expected.objective, False)
+    assert check_feasible(best.assignment, instance)
+    # When phase 2 runs out the best is phase 1's assignment; when phase 1
+    # does, phase 0's incumbent.
+    assert (best.assignment == expected.assignment) == (not phase_two)
 
 
 @st.composite
@@ -543,12 +629,12 @@ def test_exact_without_matches_a_solve_without_each_buyer(data, node_budget):
         assert joint[buyer_id].optimal == alone.optimal
 
 
-def nodes_needed(instance):
-    """The least node budget at which ``solve_exact`` finishes on ``instance``."""
+def nodes_needed(instance, solve=solve_exact):
+    """The least node budget at which ``solve`` finishes on ``instance``."""
 
     def finishes(node_budget):
         try:
-            solve_exact(instance, node_budget=node_budget)
+            solve(instance, node_budget)
         except SearchBudgetExceeded:
             return False
         return True
@@ -567,25 +653,30 @@ def nodes_needed(instance):
 
 
 @settings(max_examples=100, deadline=None)
-@given(exact_instances())
-def test_exact_expands_as_many_nodes_as_the_list_oracle(instance):
+@given(exact_instances(), switches)
+def test_exact_expands_as_many_nodes_as_the_list_oracle(instance, switch):
     # The oracle finishes at the least budget solve_exact needs, and not below it.
     # nodes_needed doubles its budget without a cap, so big searches are skipped.
-    assume(_outcome(solve_exact, instance, 10**5)[0])
-    needed = nodes_needed(instance)
-    assert _outcome(list_exact, instance, needed)[0]
-    assert needed == 1 or not _outcome(list_exact, instance, needed - 1)[0]
+    solve = _phased(switch)
+    assume(_outcome(solve, instance, 10**5)[0])
+    needed = nodes_needed(instance, solve)
+    assert _outcome(_oracle(switch), instance, needed)[0]
+    assert needed == 1 or not _outcome(_oracle(switch), instance, needed - 1)[0]
 
 
-def test_exact_without_prices_a_round_whose_solves_alone_each_fit(monkeypatch):
+@pytest.mark.parametrize("switch", [wdp.SWITCH_NODES, 2])
+def test_exact_without_prices_a_round_whose_solves_alone_each_fit(monkeypatch, switch):
     # The budget is just enough for the largest solve without one winner;
     # where a search without a winner needs more, each winner is solved alone.
+    # With an early switch those solves run the phases, and still return what
+    # the buyer-order search does.
     fell_back = 0
     for seed in range(80):
         instance = make_instance(*random_unit_instance(seed))
         solution = solve_exact(instance)
         winners = [buyer_id for buyer_id, _ in solution.assignment.pairs]
         expected = solves_alone(instance, winners)
+        monkeypatch.setattr(wdp, "SWITCH_NODES", switch)
         budget = max((nodes_needed(without(instance, w)) for w in winners), default=1)
         calls = []
 
@@ -605,11 +696,7 @@ def test_exact_without_prices_a_round_whose_solves_alone_each_fit(monkeypatch):
 def test_the_capacity_bound_prices_the_14_by_2_round_at_seed_6_in_one_joint_search(monkeypatch):
     # The searches without each winner take at most 3 603 nodes each
     # (15 387 in all), so none falls back to solving each winner alone.
-    scenario = generate_scenario(GeneratorParams(n_buyers=14, m_sellers=2, horizon=1, seed=6))
-    instance = WdpInstance(
-        tuple(row[0] for row in scenario.bid_matrix),
-        {s.id: s.round_capacity for s in scenario.sellers},
-    )
+    instance = ladder_instance(14, 2, 6)
     solution = solve_exact(instance)
     winners = [buyer_id for buyer_id, _ in solution.assignment.pairs]
     expected = solves_alone(instance, winners)

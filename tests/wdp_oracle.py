@@ -7,23 +7,29 @@ Works in whole units for speed.  ``check_feasible`` is the matching
 feasibility oracle for solver outputs.  ``fraction_greedy`` is the
 density-greedy heuristic written with exact fractions, the reference
 that the integer ``solve_greedy`` must reproduce placement for
-placement.  ``list_exact`` is the branch and bound with per-dimension
-residual lists, the reference that the packed-integer ``solve_exact``
-must reproduce node for node: it chooses the capacity multiplier
+placement; ``greedy_order`` is its rank order.  ``list_exact`` is the
+branch and bound with per-dimension residual lists, the reference that
+the packed-integer ``solve_exact`` must reproduce node for node, phase
+for phase: the buyer-order search up to a switch, then the search over
+``greedy_order``'s bids, then the buyer-order search again from just
+below the optimum.  It chooses the capacity multiplier
 (``capacity_multiplier``) and evaluates the capacity bound in exact
-fractions, where ``solve_exact`` scales both to integers.
-``plain_list_exact`` is the same search with only the
-partial-value-plus-remaining-bids cut, the search before the capacity
-bound; wherever it finishes within a node budget, ``solve_exact`` must
-finish within that budget with the same answer.
+fractions, where ``solve_exact`` scales both to integers, and takes
+the switch as an argument, so tests can run the phases on small
+instances.  ``plain_list_exact`` is one buyer-order search with only
+the partial-value-plus-remaining-bids cut, the search before the
+capacity bound; wherever it finishes within a node budget no larger
+than the switch, ``solve_exact`` must finish within that budget with
+the same answer.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from mdcauction import SearchBudgetExceeded, ValidationError, WdpSolution
+from mdcauction import SearchBudgetExceeded, ValidationError, WdpInstance, WdpSolution
 from mdcauction.model import Assignment
+from mdcauction.wdp import SWITCH_NODES
 
 
 def check_feasible(assignment, instance) -> bool:
@@ -40,31 +46,41 @@ def check_feasible(assignment, instance) -> bool:
     return all(total.fits_within(instance.seller_caps[s]) for s, total in load.items())
 
 
+def greedy_order(instance):
+    """The bids with a positive amount, by descending density in exact fractions.
+
+    A bid's density is amount / (1 + sum_k d_k / T_k), where T_k is the
+    total capacity in dimension k (1 when that total is 0); ties go to
+    the lower buyer id.
+    """
+    dim = instance.dimension
+    caps = instance.seller_caps.values()
+    norms = [sum(cap.units[k] for cap in caps) or 1 for k in range(dim)]
+
+    def density(bid):
+        weight = 1 + sum(Fraction(d, norms[k]) for k, d in enumerate(bid.demand))
+        return Fraction(bid.amount) / weight
+
+    return sorted(
+        (bid for bid in instance.bids if bid.amount > 0),
+        key=lambda b: (-density(b), b.buyer_id),
+    )
+
+
 def fraction_greedy(instance):
     """(assignment, objective) of the density greedy, in exact fractions.
 
-    Bids rank by amount / (1 + sum_k d_k / T_k), where T_k is the total
-    capacity in dimension k (1 when that total is 0), ties to the lower
-    buyer id; each goes to the fitting seller with the largest minimum
-    of (room_k - d_k) / T_k, ties to the lower seller id.
+    Bids go in ``greedy_order``; each goes to the fitting seller with the
+    largest minimum of (room_k - d_k) / T_k, ties to the lower seller id.
     """
     dim = instance.dimension
     seller_ids = sorted(instance.seller_caps)
     residual = {s: list(instance.seller_caps[s]) for s in seller_ids}
     totals = [sum(instance.seller_caps[s].units[k] for s in seller_ids) for k in range(dim)]
     norms = [t if t > 0 else 1 for t in totals]
-
-    def density(bid):
-        weight = 1 + sum(Fraction(d, norms[k]) for k, d in enumerate(bid.demand))
-        return Fraction(bid.amount) / weight
-
-    ranked = sorted(
-        (bid for bid in instance.bids if bid.amount > 0),
-        key=lambda b: (-density(b), b.buyer_id),
-    )
     pairs = []
     objective = 0
-    for bid in ranked:
+    for bid in greedy_order(instance):
         demand = tuple(bid.demand)
         best_seller = best_slack = None
         for s in seller_ids:
@@ -112,25 +128,71 @@ def capacity_multiplier(instance):
     raise AssertionError("the demand in k exceeds T_k, so some bid crosses it")
 
 
-def list_exact(instance, node_budget):
-    """``solve_exact``'s search with one residual list per seller.
+def list_exact(instance, node_budget, switch=SWITCH_NODES):
+    """``solve_exact``'s phased search, each phase a search with residual lists.
 
-    Same branch order, both bounds and tie-break; the capacity bound is
-    evaluated in fractions, floor(v + lambda * R_k + sum of
-    max(0, a - lambda * d_k) over the remaining bids) with R_k summed
-    from the residual lists.  Raises SearchBudgetExceeded carrying the
-    plain incumbent, with no greedy floor.
+    Phase 0 searches the bids in buyer id order for at most ``switch``
+    nodes (``node_budget`` if that is less); if it finishes, so does
+    ``list_exact``.  The nodes left go to phase 1, the search over
+    ``greedy_order``'s bids with the multiplier of those bids alone,
+    which keeps only leaves worth more than phase 0's incumbent (more
+    than -1 if that incumbent has no pair).  If it finds none, phase 0's
+    incumbent is optimal.  Otherwise phase 2 repeats the buyer-order
+    search, keeping only leaves worth at least phase 1's value, and
+    stops at its first; it gets the nodes phase 1 left.
+
+    Each phase has the same branch order, both bounds and tie-break as
+    ``solve_exact``'s; the capacity bound is evaluated in fractions,
+    floor(v + lambda * R_k + sum of max(0, a - lambda * d_k) over the
+    remaining bids) with R_k summed from the residual lists.  Raises
+    SearchBudgetExceeded carrying the phases' best incumbent, the
+    earlier on a tie, with no greedy floor.
     """
-    return _list_search(instance, node_budget, capacity_multiplier(instance))
+    by_id = sorted(instance.bids, key=lambda b: b.buyer_id)
+    multiplier = capacity_multiplier(instance)
+    first = min(node_budget, switch)
+    done, value, pairs, _nodes = _list_search(by_id, instance, first, multiplier)
+    if done:
+        return WdpSolution(Assignment(pairs), value, True)
+    best = (value, pairs) if pairs else (0, ())
+    left = node_budget - first
+    if left > 0:
+        floor = value if pairs else -1
+        ranked = greedy_order(instance)
+        positive = WdpInstance(tuple(ranked), instance.seller_caps)
+        done, value, pairs, nodes = _list_search(
+            ranked, positive, left, capacity_multiplier(positive), floor
+        )
+        if done and pairs is None:
+            return WdpSolution(Assignment(best[1]), best[0], True)
+        if pairs is not None and value > best[0]:
+            best = (value, pairs)
+        if done:
+            done, value, pairs, _nodes = _list_search(
+                by_id, instance, left - nodes, multiplier, value - 1, stop=True
+            )
+            if done:
+                return WdpSolution(Assignment(pairs), value, True)
+    raise SearchBudgetExceeded(node_budget, WdpSolution(Assignment(best[1]), best[0], False))
 
 
 def plain_list_exact(instance, node_budget):
-    """``list_exact`` without the capacity bound: only v + remaining bids cuts."""
-    return _list_search(instance, node_budget, None)
+    """One buyer-order search without the capacity bound: only v + remaining bids cuts."""
+    by_id = sorted(instance.bids, key=lambda b: b.buyer_id)
+    done, value, pairs, _nodes = _list_search(by_id, instance, node_budget, None)
+    if not done:
+        value, pairs = (value, pairs) if pairs else (0, ())
+        raise SearchBudgetExceeded(node_budget, WdpSolution(Assignment(pairs), value, False))
+    return WdpSolution(Assignment(pairs), value, True)
 
 
-def _list_search(instance, node_budget, multiplier):
-    bids = sorted(instance.bids, key=lambda b: b.buyer_id)
+def _list_search(bids, instance, node_budget, multiplier, floor=-1, stop=False):
+    """Branch and bound over ``bids`` in the order given: ``(finished, value, pairs, nodes)``.
+
+    Keeps only leaves worth more than ``floor``; ``pairs`` is None when
+    it reached none, and ``value`` is then ``floor``.  With ``stop`` it
+    finishes at the first leaf it keeps.
+    """
     n = len(bids)
     amounts = [b.amount for b in bids]
     demands = [tuple(b.demand) for b in bids]
@@ -148,25 +210,26 @@ def _list_search(instance, node_budget, multiplier):
         for i in range(n - 1, -1, -1):
             rest[i] = rest[i + 1] + max(Fraction(0), amounts[i] - lam * demands[i][row])
 
-    best_value = -1
-    best_pairs = ()
+    best_value = floor
+    best_pairs = None
     chosen = []
     nodes = 0
+    stopped = False
 
-    def incumbent():
-        if best_value < 0:
-            return WdpSolution(Assignment(()), 0, False)
-        return WdpSolution(Assignment(best_pairs), best_value, False)
+    class OutOfNodes(Exception):
+        pass
 
     def capacity_bound(i, value):
         pooled = sum(room[row] for room in residual)
         return math.floor(value + lam * pooled + rest[i])
 
     def descend(i, value):
-        nonlocal best_value, best_pairs, nodes
+        nonlocal best_value, best_pairs, nodes, stopped
+        if stopped:
+            return
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetExceeded(node_budget, incumbent())
+            raise OutOfNodes
         if value + suffix[i] <= best_value:
             return
         if multiplier and capacity_bound(i, value) <= best_value:
@@ -175,6 +238,7 @@ def _list_search(instance, node_budget, multiplier):
             if value > best_value:
                 best_value = value
                 best_pairs = tuple(chosen)
+                stopped = stop
             return
         demand = demands[i]
         for j, seller_id in enumerate(seller_ids):
@@ -189,10 +253,11 @@ def _list_search(instance, node_budget, multiplier):
                     room[k] += demand[k]
         descend(i + 1, value)
 
-    descend(0, 0)
-    if best_value < 0:
-        return WdpSolution(Assignment(()), 0, True)
-    return WdpSolution(Assignment(best_pairs), best_value, True)
+    try:
+        descend(0, 0)
+    except OutOfNodes:
+        return False, best_value, best_pairs, nodes
+    return True, best_value, best_pairs, nodes
 
 
 def brute_force_best(amounts, demands, caps) -> int:
