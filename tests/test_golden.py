@@ -59,6 +59,17 @@ CV_MANY_WINNERS_PARAMS = {
     "mechanism": {"pricing": "critical_value"},
 }
 
+# A small profile whose mechanism block is not the default, so a materialized
+# draw carries it and a run on that file shows command-line overrides on top.
+MATERIALIZE_PARAMS = {
+    "n_buyers": 6,
+    "m_sellers": 2,
+    "horizon": 6,
+    "dimensions": 2,
+    "capacity_range": [4, 10],
+    "mechanism": {"pricing": "critical_value", "gamma": 0.5},
+}
+
 # name -> (argv, file the run writes); stdout is kept as <name>.txt.
 CASES = {
     "compare_default": (
@@ -84,6 +95,10 @@ CASES = {
         ["run", "generator.json", "--mechanism", "mafl", "--seed", "7", "--out", "out.csv"],
         "out.csv",
     ),
+    "run_materialized_override": (
+        ["run", "materialized.json", "--gamma", "2", "--solver", "greedy", "--out", "out.csv"],
+        "out.csv",
+    ),
 }
 
 
@@ -93,7 +108,11 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
     (tmp_path / "cv-default.json").write_text(json.dumps(CV_PARAMS))
     (tmp_path / "cv-sellers.json").write_text(json.dumps(CV_SELLERS_PARAMS))
     (tmp_path / "cv-many-winners.json").write_text(json.dumps(CV_MANY_WINNERS_PARAMS))
+    (tmp_path / "materialize.json").write_text(json.dumps(MATERIALIZE_PARAMS))
     assert main(["gen", "default", "--materialize", "--out", "scenario.json"]) == 0
+    assert main(
+        ["gen", "materialize.json", "--materialize", "--seed", "7", "--out", "materialized.json"]
+    ) == 0
     assert main(["gen", "default", "--out", "generator.json"]) == 0
     argv, written = CASES[name]
     capsys.readouterr()
@@ -107,3 +126,11 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
 def test_golden_gen(capsys):
     assert main(["gen", "default", "--seed", "7"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "gen_default.json").read_text(encoding="utf-8")
+
+
+def test_golden_gen_materialize(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "materialize.json").write_text(json.dumps(MATERIALIZE_PARAMS))
+    assert main(["gen", "materialize.json", "--materialize", "--seed", "7"]) == 0
+    expected = (GOLDEN / "gen_materialize.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
