@@ -7,8 +7,9 @@ Outputs are deterministic given the input file and flags; the only
 wall-clock dependence is the optional timestamp header line, disabled
 with ``--no-header``.  Exit codes: 0 success, 1 expectation failure,
 2 input error (among them a round past the exact solver's
-``MAX_EXACT_BUYERS`` and a ``compare --seeds`` count past
-``simlab.MAX_SEEDS``), 3 run aborted (the exact solver's node budget
+``MAX_EXACT_BUYERS``, a ``compare --seeds`` count past
+``simlab.MAX_SEEDS`` and a workload past the size caps in
+``scenario.py``), 3 run aborted (the exact solver's node budget
 ran out, or an internal invariant check failed).
 """
 
@@ -52,9 +53,9 @@ def _parse_expect(expr: str) -> int:
 
 def _mechanism_override(config, args):
     updates = {}
-    if getattr(args, "gamma", None) is not None:
+    if args.gamma is not None:
         updates["gamma"] = args.gamma
-    if getattr(args, "solver", None) is not None:
+    if args.solver is not None:
         updates["solver"] = args.solver
     return replace(config, **updates) if updates else config
 
@@ -109,21 +110,17 @@ def cmd_run(args) -> int:
             "is a params file; run takes a scenario file or a `generator` block,"
             " which `gen` writes from a params file",
         )
-    parsed = io.parse_scenario(doc)
-    if isinstance(parsed, Scenario):
-        scenario = parsed.with_mechanism(_mechanism_override(parsed.mechanism, args))
-        if args.seed is not None:
-            raise ValidationError("--seed", "scenario has explicit bids; a seed cannot apply")
-    else:
-        params, mechanism = parsed
-        mechanism = _mechanism_override(mechanism, args)
-        if args.seed is not None:
-            params = replace(params, seed=args.seed)
-        scenario = generate_scenario(params, mechanism)
-    evaluation = evaluate(scenario, args.mechanism)
+    scenario, mech = io.parse_scenario(doc)
+    mech = _mechanism_override(mech, args)
+    if not isinstance(scenario, Scenario):  # a generator block
+        scenario = generate_scenario(
+            scenario if args.seed is None else replace(scenario, seed=args.seed)
+        )
+    elif args.seed is not None:
+        raise ValidationError("--seed", "scenario has explicit bids; a seed cannot apply")
+    evaluation = evaluate(scenario, args.mechanism, mech)
 
     print(f"scenario: {args.scenario}")
-    mech = scenario.mechanism
     print(
         f"mechanism: {args.mechanism} (solver={mech.solver}, pricing={mech.pricing},"
         f" gamma={mech.gamma:g}, scope={mech.scope})"
@@ -157,8 +154,6 @@ def cmd_compare(args) -> int:
         params = replace(params, seed=args.seed)
     base_config = _mechanism_override(mechanism, args)
     names = [name.strip() for name in args.mechanisms.split(",") if name.strip()]
-    if not names:
-        raise ValidationError("--mechanisms", "expected a comma-separated list")
     specs = [MechanismSpec(name, config=base_config) for name in names]
     report = compare(params, specs, args.seeds)
     _emit(io.compare_summary_lines(report))
@@ -182,7 +177,7 @@ def cmd_gen(args) -> int:
     if args.seed is not None:
         params = replace(params, seed=args.seed)
     if args.materialize:
-        doc = io.scenario_to_doc(generate_scenario(params, mechanism))
+        doc = io.scenario_to_doc(generate_scenario(params), mechanism)
     else:
         doc = io.generator_to_doc(params, mechanism)
     text = io.dump_json(doc)

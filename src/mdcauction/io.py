@@ -165,12 +165,13 @@ _SCENARIO_KEYS = {"buyers", "sellers", "horizon", "dimensions", "bids", "generat
 _PARAMS_ONLY_KEYS = {f.name for f in fields(GeneratorParams)} - _SCENARIO_KEYS
 
 
-def parse_scenario(doc: dict) -> Scenario | tuple[GeneratorParams, MechanismConfig]:
-    """Parse a scenario file.
+def parse_scenario(doc: dict) -> tuple[Scenario | GeneratorParams, MechanismConfig]:
+    """Parse a scenario file into ``(workload, mechanism)``.
 
-    A file with a ``generator`` block parses to the same
-    ``(params, mechanism)`` pair as ``parse_params_file``;
-    ``simlab.generate_scenario`` draws the scenario from it.
+    The workload is a ``Scenario`` for explicit bids.  A file with a
+    ``generator`` block parses to the same ``(params, mechanism)`` pair
+    as ``parse_params_file``; ``simlab.generate_scenario`` draws the
+    scenario from it.
     """
     _reject_unknown(doc, _SCENARIO_KEYS, "scenario.")
     mechanism = _mechanism_block(doc)
@@ -246,14 +247,14 @@ def parse_scenario(doc: dict) -> Scenario | tuple[GeneratorParams, MechanismConf
             parsed_row.append(Bid(i, amount, demand))
         matrix.append(tuple(parsed_row))
 
-    return Scenario(
+    scenario = Scenario(
         buyers=tuple(buyers),
         sellers=tuple(sellers),
         horizon=horizon,
         dimensions=dimensions if dimensions is not None else 3,
         bid_matrix=tuple(matrix),
-        mechanism=mechanism,
     )
+    return scenario, mechanism
 
 
 _FIXTURE_KEYS = {"budgets", "bids", "items_per_round"}
@@ -286,8 +287,8 @@ def generator_to_doc(params: GeneratorParams, mechanism: MechanismConfig) -> dic
     return {"generator": generator, "mechanism": asdict(mechanism)}
 
 
-def scenario_to_doc(scenario: Scenario) -> dict:
-    """JSON-ready form of a scenario, written as an explicit bid matrix.
+def scenario_to_doc(scenario: Scenario, mechanism: MechanismConfig) -> dict:
+    """JSON-ready scenario file: ``scenario`` as an explicit bid matrix, run under ``mechanism``.
 
     Such a file replays verbatim: reloaded bids are no longer treated
     as adjustable valuations, even when the scenario was generated.
@@ -318,7 +319,7 @@ def scenario_to_doc(scenario: Scenario) -> dict:
             ]
             for row in scenario.bid_matrix
         ],
-        "mechanism": asdict(scenario.mechanism),
+        "mechanism": asdict(mechanism),
     }
 
 

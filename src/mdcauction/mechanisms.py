@@ -174,14 +174,16 @@ def run_srmra(
     return outcome
 
 
-def _run(scenario: Scenario, clear, adjust: bool = False) -> AuctionResult:
+def _run(
+    scenario: Scenario, config: MechanismConfig, clear, adjust: bool = False
+) -> AuctionResult:
     """The round loop every mechanism shares.
 
     Each round, every buyer's bid from the matrix is clamped to its
     remaining budget and, with ``adjust``, passed through ``adjust_bid``
-    with the previous round's winners; then ``clear``, called like
-    ``run_srmra``, clears the round, charges the ledger and returns the
-    outcome.
+    with ``config`` and the previous round's winners; then ``clear``,
+    called like ``run_srmra`` with ``config``, clears the round, charges
+    the ledger and returns the outcome.
     """
     ledger = AuctionLedger.new(scenario.buyers, scenario.sellers)
     previous_winners: set[int] = set()
@@ -193,23 +195,25 @@ def _run(scenario: Scenario, clear, adjust: bool = False) -> AuctionResult:
             amount = min(raw.amount, remaining)
             if adjust:
                 won = buyer.id in previous_winners
-                amount = adjust_bid(amount, remaining, buyer.budget, scenario.mechanism, won)
+                amount = adjust_bid(amount, remaining, buyer.budget, config, won)
             round_bids.append(Bid(buyer.id, amount, raw.demand))
-        outcome = clear(round_bids, scenario.sellers, ledger, scenario.mechanism)
+        outcome = clear(round_bids, scenario.sellers, ledger, config)
         previous_winners = outcome.winners.buyers()
     return AuctionResult(ledger)
 
 
-def run_repeated_srmra(scenario: Scenario) -> AuctionResult:
+def run_repeated_srmra(
+    scenario: Scenario, config: MechanismConfig = MechanismConfig()
+) -> AuctionResult:
     """Cycle the single-round auction over the horizon without adjustment.
 
     Bids are taken from the matrix verbatim, clamped to remaining
     budgets; the ledger carries across rounds.
     """
-    return _run(scenario, run_srmra)
+    return _run(scenario, config, run_srmra)
 
 
-def run_mafl(scenario: Scenario) -> AuctionResult:
+def run_mafl(scenario: Scenario, config: MechanismConfig = MechanismConfig()) -> AuctionResult:
     """Run the budget-aware multi-round framework.
 
     Each round is one single-round auction over effective bids: the
@@ -221,7 +225,7 @@ def run_mafl(scenario: Scenario) -> AuctionResult:
     adjusted.  With gamma = 0 the adjustment is the identity and the
     run matches run_repeated_srmra round for round.
     """
-    return _run(scenario, run_srmra, adjust=scenario.bids_are_valuations)
+    return _run(scenario, config, run_srmra, adjust=scenario.bids_are_valuations)
 
 
 def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
@@ -269,10 +273,8 @@ def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
     seller = Seller(0, ResourceVector((items_per_round * SCALE,)))
     if not matrix or not matrix[0]:
         return AuctionResult(AuctionLedger.new(buyers, [seller]))
-    greedy = MechanismConfig(solver="greedy")
-    return run_repeated_srmra(
-        Scenario(buyers, (seller,), len(matrix[0]), 1, tuple(matrix), mechanism=greedy)
-    )
+    scenario = Scenario(buyers, (seller,), len(matrix[0]), 1, tuple(matrix))
+    return run_repeated_srmra(scenario, MechanismConfig(solver="greedy"))
 
 
 def _scaled_ask(seller: Seller, demand: tuple[int, ...]) -> int:
@@ -333,7 +335,9 @@ def _match_bids_and_asks(
     return outcome
 
 
-def run_double_auction(scenario: Scenario) -> AuctionResult:
+def run_double_auction(
+    scenario: Scenario, config: MechanismConfig = MechanismConfig()
+) -> AuctionResult:
     """Greedy bid/ask matching baseline with midpoint trade prices.
 
     Every seller quotes an ask per normalized demand unit; a buyer's
@@ -350,4 +354,4 @@ def run_double_auction(scenario: Scenario) -> AuctionResult:
             raise ValidationError(
                 f"sellers[{position}].ask", "required by the double_auction mechanism"
             )
-    return _run(scenario, _match_bids_and_asks)
+    return _run(scenario, config, _match_bids_and_asks)

@@ -1,15 +1,17 @@
-"""Scenario definition: participants, horizon, bid matrix, mechanism settings.
+"""Workloads and the settings they are drawn and run with.
 
-A scenario is always concrete: buyers, sellers and one bid per buyer
-per round.  Explicit matrices are strategic trajectories and are taken
-verbatim by every mechanism; matrices drawn by
-``simlab.generate_scenario`` are per-round true valuations that
-budget-aware mechanisms may adjust (``bids_are_valuations``).
+A scenario is the workload only, and always concrete: buyers, sellers
+and one bid per buyer per round.  Explicit matrices are strategic
+trajectories and are taken verbatim by every mechanism; matrices drawn
+by ``simlab.generate_scenario`` from ``GeneratorParams`` are per-round
+true valuations that budget-aware mechanisms may adjust
+(``bids_are_valuations``).  A ``MechanismConfig`` is passed to each run
+beside the scenario, so one workload runs under any number of configs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 from .model import Bid, Buyer, Seller
@@ -72,9 +74,7 @@ class GeneratorParams:
     ask_range: tuple[int, int] = (1, 10)
 
     def __post_init__(self):
-        for name, least in _MINIMUMS.items():
-            if getattr(self, name) < least:
-                raise ValidationError(name, f"must be >= {least}")
+        _check_bounds(self, _MINIMUMS)
         for name, optional in _RANGES:
             bounds = getattr(self, name)
             if bounds is None and optional:
@@ -85,9 +85,23 @@ class GeneratorParams:
             if lo > hi:
                 raise ValidationError(name, f"lower bound {lo} exceeds upper bound {hi}")
             object.__setattr__(self, name, (int(lo), int(hi)))
+        # The draws of ``simlab.generate_scenario``: a budget per buyer, each
+        # seller's capacities and ask, then an amount and a demand per bid.
+        per_seller = self.dimensions * (1 if self.period_capacity_range is None else 2) + 1
+        per_buyer = 1 + self.horizon * (1 + self.dimensions)
+        draws = self.n_buyers * per_buyer + self.m_sellers * per_seller
+        if draws > MAX_DRAWS:
+            raise ValidationError("draws", f"the workload takes {draws}; at most {MAX_DRAWS}")
 
 
 _MINIMUMS = {"n_buyers": 0, "m_sellers": 0, "horizon": 1, "dimensions": 1}
+# Rounds and dimensions are looped over even with no buyers or sellers, so
+# without a maximum a file of a few bytes can run for hours.
+_MAXIMUMS = {"horizon": 100_000, "dimensions": 64}
+# Draws taken by ``simlab.generate_scenario``.  A generated bid holds about
+# 680 B at 3 dimensions; at this cap generation peaks near 185 MiB
+# (CPython 3.11, 1000 buyers x 261 rounds).
+MAX_DRAWS = 2**20
 # (name, may be None) for each range, in field order; built once, since
 # ``replace(params, seed=...)`` runs ``__post_init__`` for every seed.
 _RANGES = tuple(
@@ -95,13 +109,24 @@ _RANGES = tuple(
 )
 
 
+def _check_bounds(holder, names) -> None:
+    """Hold each named field of ``holder`` to ``_MINIMUMS`` and ``_MAXIMUMS``."""
+    for name in names:
+        value = getattr(holder, name)
+        if value < _MINIMUMS[name]:
+            raise ValidationError(name, f"must be >= {_MINIMUMS[name]}")
+        if value > _MAXIMUMS.get(name, value):
+            raise ValidationError(name, f"must be <= {_MAXIMUMS[name]}")
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A full experiment input, and the one place its facts are checked.
+    """A workload, and the one place its facts are checked.
 
     ``bid_matrix[i][l-1]`` is buyer i's bid for round l; the bids
     themselves carry no round index.  ``generator`` is provenance only:
     the parameters ``simlab.generate_scenario`` drew this scenario from.
+    The mechanism settings are not part of it; each run takes them.
     """
 
     buyers: tuple[Buyer, ...]
@@ -110,14 +135,10 @@ class Scenario:
     dimensions: int
     bid_matrix: tuple[tuple[Bid, ...], ...]
     generator: GeneratorParams | None = None
-    mechanism: MechanismConfig = MechanismConfig()
     bids_are_valuations: bool = False
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError("horizon", "must be >= 1")
-        if self.dimensions < 1:
-            raise ValidationError("dimensions", "must be >= 1")
+        _check_bounds(self, ("horizon", "dimensions"))
         for position, buyer in enumerate(self.buyers):
             if buyer.id != position:
                 raise ValidationError(
@@ -150,7 +171,3 @@ class Scenario:
                         f"bids[{i}][{l}].demand",
                         f"expected {self.dimensions} components, got {len(bid.demand)}",
                     )
-
-    def with_mechanism(self, mechanism: MechanismConfig) -> "Scenario":
-        return replace(self, mechanism=mechanism)
-

@@ -41,9 +41,7 @@ def _scaled(draws: list[int], bounds: tuple[int, int]) -> list[int]:
     return [(lo + x % span) * SCALE for x in draws]
 
 
-def generate_scenario(
-    params: GeneratorParams, mechanism: MechanismConfig | None = None
-) -> Scenario:
+def generate_scenario(params: GeneratorParams) -> Scenario:
     """Draw a concrete scenario from generator parameters.
 
     The draw order is part of the determinism contract: buyer budgets
@@ -91,7 +89,6 @@ def generate_scenario(
         dimensions=params.dimensions,
         bid_matrix=tuple(matrix),
         generator=params,
-        mechanism=mechanism or MechanismConfig(),
         bids_are_valuations=True,
     )
 
@@ -143,23 +140,25 @@ def compute_metrics(result: AuctionResult) -> RunMetrics:
     return RunMetrics(ratio, exhaustion)
 
 
-def evaluate(scenario: Scenario, mechanism: str) -> EvaluationResult:
-    """Run one mechanism on one scenario and attach derived metrics."""
+def evaluate(
+    scenario: Scenario, mechanism: str, config: MechanismConfig = MechanismConfig()
+) -> EvaluationResult:
+    """Run one mechanism under ``config`` on one scenario and attach derived metrics."""
     if mechanism not in MECHANISMS:
         raise ValidationError(
             "mechanism", f"unknown mechanism {mechanism!r}; expected one of {sorted(MECHANISMS)}"
         )
-    result = MECHANISMS[mechanism](scenario)
+    result = MECHANISMS[mechanism](scenario, config)
     return EvaluationResult(result, compute_metrics(result))
 
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """A mechanism entry in a comparison: registry name plus optional config."""
+    """A mechanism entry in a comparison: registry name, label and config."""
 
     name: str
     label: str | None = None
-    config: MechanismConfig | None = None
+    config: MechanismConfig = MechanismConfig()
 
     @property
     def resolved_label(self) -> str:
@@ -267,9 +266,8 @@ def compare(
     report is a pure function of (params, mechanisms, n_seeds,
     resamples).  Seeds and indices are drawn in bulk (``next_u64s``,
     ``randints``), which gives the same stream as one draw at a time.
-    ``n_seeds`` is at most ``MAX_SEEDS``.
-    A spec whose config equals the drawn workload's mechanism runs on
-    the workload itself, so the scenario is checked once per seed.
+    ``n_seeds`` is at most ``MAX_SEEDS``.  Each seed's workload is
+    drawn (and checked) once; every spec runs on it under its own config.
     """
     if n_seeds < 1:
         raise ValidationError("n_seeds", "must be >= 1")
@@ -292,11 +290,9 @@ def compare(
     records: list[SeedRecord] = []
     revenue_units: dict[str, list[float]] = {label: [] for label in labels}
     for seed in seeds:
-        workload = generate_scenario(replace(params, seed=seed), specs[0].config)
+        workload = generate_scenario(replace(params, seed=seed))
         for spec in specs:
-            config = spec.config or MechanismConfig()
-            scenario = workload if config == workload.mechanism else workload.with_mechanism(config)
-            evaluation = evaluate(scenario, spec.name)
+            evaluation = evaluate(workload, spec.name, spec.config)
             result, metrics = evaluation.result, evaluation.metrics
             records.append(
                 SeedRecord(

@@ -1,13 +1,6 @@
 """Shared builders and recheckers for the test suite."""
 
-from mdcauction import (
-    Bid,
-    Buyer,
-    MechanismConfig,
-    ResourceVector,
-    Scenario,
-    Seller,
-)
+from mdcauction import Bid, Buyer, ResourceVector, Scenario, Seller
 from mdcauction.money import SCALE
 
 TABLE1_BIDS = [[3, 4, 3, 2, 1, 1], [4, 5, 0, 0, 0, 0], [5, 5, 0, 0, 0, 0]]
@@ -16,7 +9,7 @@ TABLE_BUDGETS = [15, 9, 10]
 TABLE_ITEMS = 2
 
 
-def table_scenario(bids, budgets, items_per_round, mechanism=None) -> Scenario:
+def table_scenario(bids, budgets, items_per_round) -> Scenario:
     """Unit-demand single-seller scenario equivalent to a replay fixture."""
     unit = ResourceVector((SCALE,))
     horizon = len(bids[0])
@@ -27,7 +20,6 @@ def table_scenario(bids, budgets, items_per_round, mechanism=None) -> Scenario:
         horizon=horizon,
         dimensions=1,
         bid_matrix=matrix,
-        mechanism=mechanism or MechanismConfig(),
     )
 
 
@@ -39,7 +31,7 @@ def recheck_run_invariants(scenario: Scenario, result, first_price: bool = True)
     per-round or period capacity overrun, and (for pay-your-bid
     mechanisms) the revenue = utility identity.  Pass
     ``first_price=False`` for the double auction, which prices trades
-    at bid/ask midpoints.
+    at bid/ask midpoints, and for critical-value pricing.
     """
     remaining = {b.id: b.budget for b in scenario.buyers}
     period = {
@@ -69,6 +61,6 @@ def recheck_run_invariants(scenario: Scenario, result, first_price: bool = True)
             assert payment <= remaining[buyer_id], f"round {outcome.round}: overdraft"
             remaining[buyer_id] -= payment
             assert remaining[buyer_id] >= 0
-        if first_price and scenario.mechanism.pricing == "first_price":
+        if first_price:
             assert outcome.revenue == outcome.utility
     assert remaining == result.ledger.remaining_budget

@@ -143,7 +143,7 @@ def test_criterion_6_gamma_zero_equivalence():
     for _ in range(100):
         seed = rng.next_u64()
         workload = generate_scenario(replace(params, seed=seed))
-        mafl = run_mafl(workload.with_mechanism(MechanismConfig(gamma=0.0)))
+        mafl = run_mafl(workload, MechanismConfig(gamma=0.0))
         srmra = run_repeated_srmra(workload)
         if mafl.rounds != srmra.rounds:
             mismatched += 1

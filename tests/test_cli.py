@@ -64,9 +64,9 @@ def params_path(tmp_path):
 
 class TestSchemas:
     def test_scenario_round_trip(self):
-        scenario = parse_scenario(json.loads(json.dumps(TABLE1_SCENARIO)))
-        doc = scenario_to_doc(scenario)
-        assert parse_scenario(json.loads(dump_json(doc))) == scenario
+        scenario, mechanism = parse_scenario(json.loads(json.dumps(TABLE1_SCENARIO)))
+        doc = scenario_to_doc(scenario, mechanism)
+        assert parse_scenario(json.loads(dump_json(doc))) == (scenario, mechanism)
 
     def test_unknown_field_named(self):
         doc = dict(TABLE1_SCENARIO, surprise=1)
@@ -112,7 +112,7 @@ class TestSchemas:
 
     def test_missing_mechanism_block_parses_to_the_default_config(self):
         assert parse_params_file(SMALL_PARAMS)[1] == MechanismConfig()
-        assert parse_scenario(dict(TABLE1_SCENARIO, mechanism={})).mechanism == MechanismConfig()
+        assert parse_scenario(dict(TABLE1_SCENARIO, mechanism={}))[1] == MechanismConfig()
 
     def test_params_with_mechanism_block(self):
         params, mechanism = parse_params_file(
@@ -320,6 +320,10 @@ class TestCompareCommand:
         assert main(["compare", str(params_path), "--seeds", "100001"]) == 2
         assert capsys.readouterr().err == "error: n_seeds: must be <= 100000\n"
 
+    def test_empty_mechanism_list_exits_2_with_one_line(self, capsys):
+        assert main(["compare", "default", "--mechanisms", ","]) == 2
+        assert capsys.readouterr().err == "error: mechanisms: at least one mechanism is required\n"
+
     def test_unknown_mechanism_exits_2(self, params_path, capsys):
         assert main([
             "compare", str(params_path), "--seeds", "2", "--mechanisms", "mafl,vcg",
@@ -418,6 +422,12 @@ GENERATOR_FAULTS = [
     pytest.param({"m_sellers": -1}, "m_sellers: must be >= 0", id="m_sellers-negative"),
     pytest.param({"horizon": 0}, "horizon: must be >= 1", id="horizon-zero"),
     pytest.param({"dimensions": 0}, "dimensions: must be >= 1", id="dimensions-zero"),
+    pytest.param({"horizon": 100_001}, "horizon: must be <= 100000", id="horizon-too-long"),
+    pytest.param({"dimensions": 65}, "dimensions: must be <= 64", id="dimensions-too-many"),
+    # 2**18 sellers at 3 dimensions take exactly MAX_DRAWS = 2**20 draws.
+    pytest.param({"n_buyers": 0, "m_sellers": 2**18}, None, id="draws-at-the-cap"),
+    pytest.param({"n_buyers": 0, "m_sellers": 2**18 + 1},
+                 "draws: the workload takes 1048580; at most 1048576", id="draws-past-the-cap"),
     pytest.param({"seed": 2.0, "horizon": 3.0}, None, id="integral-fractions-accepted"),
     pytest.param({"surprise": 1}, "surprise: unknown field", id="unknown-field"),
     *(
@@ -568,16 +578,43 @@ class TestMalformedInputExits2:
     """Special and huge numbers and unreadable files once printed a traceback (exit 1)."""
 
     @staticmethod
-    def run_cli(*args):
+    def run_cli(*args, address_space=None):
+        """Run the CLI in a child; ``address_space`` caps its virtual memory in bytes."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        limit = None
+        if address_space is not None:
+            import resource
+
+            def limit():
+                resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
         done = subprocess.run(
             [sys.executable, "-m", "mdcauction", *args],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit,
         )
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stderr.count("\n") == 1
         return done.stderr
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"generator": {"n_buyers": 100_000, "m_sellers": 1, "horizon": 100_000}},
+             "generator.draws: the workload takes 40000100004; at most 1048576"),
+            ({"generator": {"n_buyers": 0, "m_sellers": 0, "horizon": 1, "dimensions": 10**9}},
+             "generator.dimensions: must be <= 64"),
+            ({"buyers": [], "sellers": [], "horizon": 10**9, "bids": []},
+             "horizon: must be <= 100000"),
+        ],
+        ids=["draws", "dimensions", "horizon"],
+    )
+    def test_oversized_run(self, tmp_path, doc, message):
+        # Each once ran out of memory (exit 1) or ran for minutes; the address
+        # space cap keeps a regression from taking the host's memory with it.
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        stderr = self.run_cli("run", str(path), address_space=1 << 30)
+        assert stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "total, message",

@@ -12,7 +12,6 @@ heuristic's payment comes from one greedy pass without the winner.
 import json
 import random
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -150,10 +149,7 @@ def test_exact_pricing_packs_each_round_once(monkeypatch):
     build = setup.func
     monkeypatch.setattr(setup, "func", counting)
     params = GeneratorParams(n_buyers=10, m_sellers=1, horizon=20, seed=101)
-    scenario = replace(
-        generate_scenario(params), mechanism=MechanismConfig(pricing="critical_value")
-    )
-    result = run_mafl(scenario)
+    result = run_mafl(generate_scenario(params), MechanismConfig(pricing="critical_value"))
     assert len(built) == len(result.rounds) == 20
     assert sum(len(outcome.payments) for outcome in result.rounds) > 20
 

@@ -243,23 +243,23 @@ class TestMafl:
 
     def test_gamma_zero_equals_repeated_srmra(self):
         params = GeneratorParams(n_buyers=6, m_sellers=2, horizon=8, seed=42)
-        scenario = generate_scenario(params, MechanismConfig(gamma=0.0))
-        mafl = run_mafl(scenario)
+        scenario = generate_scenario(params)
+        mafl = run_mafl(scenario, MechanismConfig(gamma=0.0))
         srmra = run_repeated_srmra(scenario)
         assert mafl.rounds == srmra.rounds
         assert mafl.total_utility == srmra.total_utility
 
     def test_single_round_equals_one_srmra_call(self):
         params = GeneratorParams(n_buyers=5, m_sellers=1, horizon=1, seed=9)
-        scenario = generate_scenario(params, MechanismConfig(gamma=1.0))
-        result = run_mafl(scenario)
+        scenario = generate_scenario(params)
+        result = run_mafl(scenario, MechanismConfig(gamma=1.0))
         ledger = AuctionLedger.new(scenario.buyers, scenario.sellers)
         bids = [
             Bid(b.id, min(scenario.bid_matrix[b.id][0].amount, b.budget),
                 scenario.bid_matrix[b.id][0].demand)
             for b in scenario.buyers
         ]
-        outcome = run_srmra(bids, scenario.sellers, ledger, scenario.mechanism)
+        outcome = run_srmra(bids, scenario.sellers, ledger, MechanismConfig(gamma=1.0))
         assert result.rounds == (outcome,)
 
     def test_previous_winners_get_punished(self):
@@ -272,10 +272,9 @@ class TestMafl:
             horizon=2,
             dimensions=1,
             bid_matrix=matrix,
-            mechanism=MechanismConfig(gamma=1.0),
             bids_are_valuations=True,
         )
-        result = run_mafl(scenario)
+        result = run_mafl(scenario, MechanismConfig(gamma=1.0))
         # round 1: pays 4; round 2: floor(4 * 5/9) = 2.222
         assert result.rounds[0].payments == {0: 4000}
         assert result.rounds[1].payments == {0: 2222}
@@ -293,10 +292,9 @@ class TestMafl:
             horizon=3,
             dimensions=1,
             bid_matrix=matrix,
-            mechanism=MechanismConfig(gamma=1.0),
             bids_are_valuations=True,
         )
-        result = run_mafl(scenario)
+        result = run_mafl(scenario, MechanismConfig(gamma=1.0))
         assert result.rounds[0].winners.buyers() == {0}
         assert result.rounds[1].winners.buyers() == {1}
         # not punished in round 3: full 5 wins over 1
@@ -304,9 +302,9 @@ class TestMafl:
 
     def test_first_price_identity_on_generated_runs(self):
         params = GeneratorParams(n_buyers=6, m_sellers=2, horizon=10, seed=77)
-        scenario = generate_scenario(params, MechanismConfig(gamma=1.0))
+        scenario = generate_scenario(params)
         for runner in (run_mafl, run_repeated_srmra):
-            result = runner(scenario)
+            result = runner(scenario, MechanismConfig(gamma=1.0))
             assert result.total_revenue == result.total_utility
             for outcome in result.rounds:
                 assert outcome.revenue == outcome.utility

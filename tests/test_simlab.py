@@ -289,17 +289,15 @@ class TestCompare:
         assert peaks[4000] <= 1.1 * peaks[1000], peaks
 
     @pytest.mark.parametrize(
-        "configs, checks_per_seed",
+        "configs",
         [
-            ((MechanismConfig(), MechanismConfig()), 1),
-            ((MechanismConfig(pricing="critical_value"),) * 2, 1),
-            ((None, None), 1),
-            ((MechanismConfig(gamma=2.0), None), 2),
+            (MechanismConfig(), MechanismConfig()),
+            (MechanismConfig(pricing="critical_value"),) * 2,
+            (MechanismConfig(gamma=2.0), MechanismConfig()),
+            (MechanismConfig(), MechanismConfig(pricing="critical_value", solver="greedy")),
         ],
     )
-    def test_scenario_checked_once_per_seed_when_configs_agree(
-        self, monkeypatch, configs, checks_per_seed
-    ):
+    def test_scenario_checked_once_per_seed(self, monkeypatch, configs):
         checks = []
         check = Scenario.__post_init__
 
@@ -313,12 +311,11 @@ class TestCompare:
             MechanismSpec("repeated_srmra", config=configs[1]),
         ]
         report = compare(self.params, specs, n_seeds=3, bootstrap_resamples=0)
-        assert len(checks) == 3 * checks_per_seed
+        assert len(checks) == 3
         assert set(checks) == set(report.seeds)
         monkeypatch.undo()
         for spec in specs:
             for record in (r for r in report.records if r.mechanism == spec.name):
-                scenario = generate_scenario(
-                    replace(self.params, seed=record.seed), spec.config
-                )
-                assert record.revenue == evaluate(scenario, spec.name).result.total_revenue
+                scenario = generate_scenario(replace(self.params, seed=record.seed))
+                evaluation = evaluate(scenario, spec.name, spec.config)
+                assert record.revenue == evaluation.result.total_revenue
