@@ -23,14 +23,7 @@ from .errors import ValidationError
 from .model import Assignment, AuctionLedger, Bid, Buyer, ResourceVector, RoundOutcome, Seller
 from .money import SCALE, scale_by_ratio_pow, to_milli
 from .scenario import MechanismConfig, Scenario
-from .wdp import (
-    WdpInstance,
-    WdpSolution,
-    greedy_threshold,
-    solve_exact,
-    solve_exact_without,
-    solve_greedy,
-)
+from .wdp import WdpInstance, WdpSolution, greedy_threshold, solve_exact, solve_greedy
 
 
 @dataclass(frozen=True)
@@ -80,19 +73,19 @@ def adjust_bid(
     return min(adjusted, remaining)
 
 
-def _critical_payment(
-    instance: WdpInstance, own: Bid, solution: WdpSolution, without: WdpSolution | None
-) -> int:
+def _critical_payment(instance: WdpInstance, own: Bid, solution: WdpSolution) -> int:
     """Smallest own bid in [1, b_i] (milli granularity) at which the buyer still wins.
 
     ``solution`` is the round's.  When ``solve_exact`` proved it optimal,
-    ``without`` is what ``solve_exact`` returns on the round without i
-    (see ``solve_exact_without``), and the threshold has a closed form.
-    The WDP maximizes the sum of bids and bidders are single-minded, so
-    with own bid x the best allocation containing i is worth
-    OPT - b_i + x and the best one without i is worth OPT(without i);
-    i wins for x above t = OPT(without i) - (OPT - b_i) and loses below
-    it (Archer & Tardos 2001, one-parameter agents).  At x = t the two
+    the threshold has a closed form.  The WDP maximizes the sum of bids
+    and bidders are single-minded, so with own bid x the best allocation
+    containing i is worth OPT - b_i + x and the best one without i is
+    worth OPT(without i); i wins for x above t = OPT(without i) -
+    (OPT - b_i) and loses below it (Archer & Tardos 2001, one-parameter
+    agents).  ``without``, what ``solve_exact`` returns on the round
+    without i, gives OPT(without i).  ``solution`` less i is feasible
+    there and worth OPT - b_i, so that solve starts its incumbent at
+    OPT - b_i - 1, below the optimum it returns.  At x = t the two
     tie, and ``solve_exact`` returns the optimum its search reaches
     first: the least key, listing each buyer's seller id in buyer id
     order with unassigned last.  For t < b_i the optima containing i are
@@ -110,14 +103,14 @@ def _critical_payment(
     OPT - b_i, so t < 1.
 
     A heuristic solver's objective is not OPT; greedy's threshold comes
-    from one greedy pass without i instead (see ``greedy_threshold``),
-    and ``without`` is None.
+    from one greedy pass without i instead (see ``greedy_threshold``).
+    Raises SearchBudgetExceeded when the solve without i runs out of
+    nodes.
     """
-    if without is None:
-        others = WdpInstance(
-            tuple(b for b in instance.bids if b.buyer_id != own.buyer_id), instance.seller_caps
-        )
+    others = instance.without(own.buyer_id)
+    if not solution.optimal:
         return greedy_threshold(others, own)
+    without = solve_exact(others, floor=solution.objective - own.amount - 1)
     threshold = without.objective - (solution.objective - own.amount)
     if threshold < 1:
         return 1
@@ -138,10 +131,11 @@ def run_srmra(
     Bids must already be clamped to remaining budgets (and adjusted, if
     a multi-round framework is driving).  Zero-amount bids never win;
     winners pay their bids under first-price pricing and their critical
-    values (see ``_critical_payment``) under critical-value pricing,
-    where with the exact solver ``solve_exact_without`` solves the round
-    without each winner, one search each on the round's setup.  The
-    outcome is round ``len(ledger.history) + 1``.
+    values (see ``_critical_payment``) under critical-value pricing.
+    With the exact solver that is one ``solve_exact`` for the round and
+    one for the round without each winner, every one under its own node
+    budget; one that runs out aborts the round uncharged.  The outcome
+    is round ``len(ledger.history) + 1``.
     """
     for bid in bids:
         if bid.amount > ledger.remaining_budget.get(bid.buyer_id, 0):
@@ -158,10 +152,8 @@ def run_srmra(
     if config.pricing == "first_price":
         payments = dict(winning_bids)
     else:
-        without = solve_exact_without(instance, solution, winning_bids) if solution.optimal else {}
         payments = {
-            buyer: _critical_payment(instance, bid_of[buyer], solution, without.get(buyer))
-            for buyer in winning_bids
+            buyer: _critical_payment(instance, bid_of[buyer], solution) for buyer in winning_bids
         }
     outcome = RoundOutcome(
         round=len(ledger.history) + 1,

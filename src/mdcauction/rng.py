@@ -9,7 +9,7 @@ Output k of a stream is the mixer applied to ``seed + (k + 1) * golden``
 alone, so ``next_u64s`` computes a block of outputs side by side: lane
 k sits in the low 64 bits of its own 128-bit field of one Python
 integer, and each mixer step is one whole-integer shift, xor or
-multiply (Lamport's 1975 packing, as in ``wdp.WdpInstance._setup``).
+multiply (Lamport's 1975 packing, as in ``wdp.WdpInstance._layout``).
 Every lane is masked to its low 64 bits before each multiply, so a
 64 x 64-bit product stays inside its field.  The bulk calls return exactly what the
 same number of scalar calls would, and leave the same state.

@@ -11,6 +11,7 @@ anything larger.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
@@ -67,6 +68,37 @@ class WdpInstance:
                 )
         object.__setattr__(self, "dimension", dimension or 0)
 
+    def without(self, buyer_id: int) -> WdpInstance:
+        """This round without the bid of ``buyer_id``.
+
+        The bids left pass every check this round passed, so they are not
+        checked again.  When this round's ``_setup`` is built, the new
+        round's is this one's with the dropped bid kept in place but given
+        no seller to choose, and its amount and positive margin taken out
+        of ``suffix`` and ``rsum`` at the depths where it is still ahead.
+        A search on it reaches, in order, the leaves of the round laid out
+        afresh, and both bounds still hold (see ``_layout``).  Raises
+        ValidationError if ``buyer_id`` has no bid in this round.
+        """
+        bids = tuple(b for b in self.bids if b.buyer_id != buyer_id)
+        if len(bids) == len(self.bids):
+            raise ValidationError("buyer_id", f"buyer {buyer_id} has no bid in this round")
+        others = object.__new__(WdpInstance)
+        vars(others).update(bids=bids, seller_caps=self.seller_caps, dimension=self.dimension)
+        if "_setup" in vars(self):
+            bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = (
+                self._setup
+            )
+            k = bisect_left(bids, buyer_id, key=attrgetter("buyer_id"))
+            amount, gain = amounts[k], max(margins[k], 0)
+            choices = choices[:k] + [[]] + choices[k + 1 :]
+            suffix = [total - amount for total in suffix[: k + 1]] + suffix[k + 1 :]
+            rsum = [total - gain for total in rsum[: k + 1]] + rsum[k + 1 :]
+            vars(others)["_setup"] = (
+                bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum
+            )
+        return others
+
     @cached_property
     def _setup(self):
         """``_layout`` of the bids in buyer id order, built once per instance."""
@@ -105,19 +137,20 @@ class WdpInstance:
 
         ``base``, ``scale``, ``margins`` and ``rsum`` are the Lagrangian
         bound on one pooled capacity row, scaled to integers.  ``solve_exact``
-        cuts by it, and ``solve_exact_without`` less the dropped buyer's
-        margin; any multiplier >= 0 bounds every feasible assignment of the
-        round, so it bounds the round without any buyer too.  T_k is the sum
-        of the sellers' capacities in dimension k.  Of the dimensions whose
-        total demand exceeds T_k, k is the one with the largest total demand
-        over T_k (the first on a tie; a zero T_k ranks highest).  Walking the
-        bids with a positive demand in k by descending amount / demand, c is
-        the first one whose demand no longer fits in what is left of T_k;
-        the multiplier is lambda = a_c / d_c.  ``scale`` is d_c, ``base`` is
-        a_c * T_k, ``margins[i]`` is a_i * d_c - a_c * d_ik, and ``rsum[i]``
-        is the sum of the positive margins from bid i on.  When every
-        dimension's demand fits its total there is no multiplier: ``scale``
-        and ``base`` are 0 and so are all margins.
+        cuts by it; on a round from ``without``, by its parent's less the
+        dropped buyer's margin: any multiplier >= 0 bounds every feasible
+        assignment of a round, so it bounds the round without any buyer
+        too.  T_k is the sum of the sellers' capacities in dimension k.  Of
+        the dimensions whose total demand exceeds T_k, k is the one with the
+        largest total demand over T_k (the first on a tie; a zero T_k ranks
+        highest).  Walking the bids with a positive demand in k by
+        descending amount / demand, c is the first one whose demand no
+        longer fits in what is left of T_k; the multiplier is lambda =
+        a_c / d_c.  ``scale`` is d_c, ``base`` is a_c * T_k, ``margins[i]``
+        is a_i * d_c - a_c * d_ik, and ``rsum[i]`` is the sum of the
+        positive margins from bid i on.  When every dimension's demand fits
+        its total there is no multiplier: ``scale`` and ``base`` are 0 and
+        so are all margins.
 
         A search writes only to ``rooms``, and works on its own copy of it:
         one cut short by its node budget leaves its copy changed.  Raises
@@ -188,7 +221,9 @@ class SearchBudgetExceeded(RuntimeError):
         super().__init__(f"search budget exceeded ({node_budget} nodes)")
 
 
-def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> WdpSolution:
+def solve_exact(
+    instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET, floor: int = -1
+) -> WdpSolution:
     """Maximum-objective feasible assignment by depth-first branch and bound.
 
     The search processes buyers in id order; each node branches over the
@@ -220,19 +255,23 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     Buyer id order is a poor branch order for a knapsack, so the nodes
     of ``node_budget`` are spent in up to three phases:
 
-    0. The search above, for at most ``SWITCH_NODES`` nodes.  If it
-       finishes, that is the answer.
+    0. The search above, its incumbent started at ``floor``, for at most
+       ``SWITCH_NODES`` nodes.  If it finishes, that is the answer.
     1. The same search over the bids in greedy's density order
        (``WdpInstance._dense_setup``; Kellerer, Pferschy & Pisinger,
        *Knapsack Problems*, 2004, ch. 9), its incumbent started at v0,
-       the value of phase 0's incumbent (-1 if that has no pair).  It
-       proves the optimum OPT.
+       the value of phase 0's incumbent (``floor`` if that has no
+       pair).  It proves the optimum OPT.
        Every leaf ahead of phase 0's incumbent in buyer order is worth
        less than v0, so if OPT is v0, that incumbent is the answer.
     2. Otherwise the buyer-order search again, its incumbent started at
        OPT - 1, stopped at its first leaf.  No cut removes the path to
        the first leaf worth OPT, so that leaf is the one phase 0 would
        have returned with nodes enough to finish.
+
+    ``floor`` must be below the optimum; a caller that knows a feasible
+    assignment worth v passes v - 1, which prunes from the first node
+    and returns the same optimum.
 
     Raises SearchBudgetExceeded if the phases together would expand
     more than ``node_budget`` nodes.  It carries the best of the
@@ -243,12 +282,13 @@ def solve_exact(instance: WdpInstance, node_budget: int = DEFAULT_NODE_BUDGET) -
     setup = instance._setup
     first = min(node_budget, SWITCH_NODES)
     try:
-        return _search(setup, first, -1)[0]
+        return _search(setup, first, floor)[0]
     except SearchBudgetExceeded as exc:
         found = [exc.best]
     if node_budget > first:
         left = node_budget - first
-        floor = found[0].objective if found[0].assignment else -1
+        if found[0].assignment:
+            floor = found[0].objective
         try:
             proof, spent = _search(instance._dense_setup(), left, floor)
             if proof.objective == floor:
@@ -320,56 +360,6 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False):
     except _Stop:
         pass
     return WdpSolution(Assignment(best_pairs), best_value, True), nodes
-
-
-def solve_exact_without(
-    instance: WdpInstance,
-    solution: WdpSolution,
-    buyer_ids,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> dict[int, WdpSolution]:
-    """``solve_exact`` on ``instance`` without w, for each w in ``buyer_ids``.
-
-    ``solution`` is a feasible assignment of ``instance``, normally the
-    round's optimum, and every w bids in ``instance``.  Each w gets one
-    run of ``solve_exact``'s search on the instance's setup in which w
-    has no seller to choose, so its leaves are, in order, those of
-    ``solve_exact``'s tree without w; both bounds leave out b_w and w's
-    positive margin at the depths where w is still ahead.  Its incumbent
-    starts at ``solution.objective - b_w - 1``, below ``solution``
-    without w, so the first leaf worth the optimum without w is kept:
-    what ``solve_exact`` returns without w, proven optimal.
-
-    If one search runs out of its ``node_budget`` nodes, each w is
-    solved alone by ``solve_exact`` with a budget of its own, in
-    ``buyer_ids`` order, and the first solve that runs out raises its
-    SearchBudgetExceeded.  Raises ValidationError past
-    ``MAX_EXACT_BUYERS`` bids.
-    """
-    bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = (
-        instance._setup
-    )
-    position = {b.buyer_id: i for i, b in enumerate(bids)}
-    found = {}
-    try:
-        for w in buyer_ids:
-            k = position[w]
-            amount = amounts[k]
-            gain = margins[k] if margins[k] > 0 else 0
-            dropped = choices[:k] + [[]] + choices[k + 1 :]
-            lowered = [total - amount for total in suffix[: k + 1]] + suffix[k + 1 :]
-            relaxed = [total - gain for total in rsum[: k + 1]] + rsum[k + 1 :]
-            setup = (
-                bids, amounts, guard, rooms, needs, dropped, lowered, base, scale, margins, relaxed
-            )
-            found[w] = _search(setup, node_budget, solution.objective - amount - 1)[0]
-    except SearchBudgetExceeded:
-        alone = {}
-        for w in buyer_ids:
-            others = tuple(b for b in instance.bids if b.buyer_id != w)
-            alone[w] = solve_exact(WdpInstance(others, instance.seller_caps), node_budget)
-        return alone
-    return found
 
 
 def _scale(instance: WdpInstance) -> tuple[int, list[int]]:

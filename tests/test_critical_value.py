@@ -3,8 +3,8 @@
 The reference in this file re-solves the round once per trial bid and
 searches for the smallest own bid in [1, b_i] at which the buyer still
 wins, which is the definition of the critical value.  The production
-code derives every exact winner's payment from one exact search without
-that winner on the round's setup (``solve_exact_without``), and settles
+code derives every exact winner's payment from one ``solve_exact`` of
+the round without that winner (``WdpInstance.without``), and settles
 the tie at the threshold by the exact search's order.  The greedy
 heuristic's payment comes from one greedy pass without the winner.
 """
@@ -34,7 +34,7 @@ from mdcauction import (
     wdp,
 )
 from mdcauction.cli import main
-from mdcauction.wdp import WdpInstance, solve_exact, solve_exact_without, solve_greedy
+from mdcauction.wdp import WdpInstance, solve_exact, solve_greedy
 from wdp_oracle import brute_force_best, random_unit_instance
 
 def round_inputs(amounts, demands, caps):
@@ -108,27 +108,21 @@ def test_contested_tie_goes_to_the_lower_buyer_id():
     assert clear(bids, sellers, "exact").payments == {1: 6}
 
 
-def test_exact_pricing_searches_once_per_round(monkeypatch):
-    calls = []
+def test_exact_pricing_solves_the_round_and_the_round_without_each_winner(monkeypatch):
+    sizes = []
 
-    def counting(name, solve):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return solve(*args, **kwargs)
+    def counting(instance, **kwargs):
+        sizes.append(len(instance.bids))
+        return solve_exact(instance, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(mechanisms, "solve_exact", counting("solve", solve_exact))
-    monkeypatch.setattr(
-        mechanisms, "solve_exact_without", counting("without", solve_exact_without)
-    )
+    monkeypatch.setattr(mechanisms, "solve_exact", counting)
     winners = inside = 0
     for seed in range(150):
         amounts, demands, caps = random_unit_instance(seed)
         bids, sellers = round_inputs(amounts, demands, caps)
-        calls.clear()
+        sizes.clear()
         outcome = clear(bids, sellers, "exact")
-        assert calls == (["solve", "without"] if outcome.payments else ["solve"]), seed
+        assert sizes == [len(bids)] + [len(bids) - 1] * len(outcome.payments), seed
         winners += len(outcome.payments)
         inside += sum(1 < p < amounts[b] for b, p in outcome.payments.items())
     assert winners > 200
@@ -137,8 +131,8 @@ def test_exact_pricing_searches_once_per_round(monkeypatch):
 
 
 def test_exact_pricing_packs_each_round_once(monkeypatch):
-    # The round solve and the searches without each winner read one setup
-    # of the round.
+    # The round solve lays out the round once; the solves without each
+    # winner derive theirs from it.
     built = []
 
     def counting(instance):
@@ -189,26 +183,19 @@ def test_tie_at_the_threshold_settled_by_an_earlier_buyers_seller(
 
 
 def exhaust_on_call(monkeypatch, call):
-    """Let the ``call``-th exact search run out of nodes; return ``(search, instance)`` per call.
+    """Let the ``call``-th ``solve_exact`` run out of nodes; return the instance of each call.
 
-    Call 1 is the round's ``solve_exact``, call 2 the searches without
-    each winner.  At a budget of 1 the solves alone that replace an
-    exhausted search without a winner run out too.
+    Call 1 is the round's, call 2 the one without the round's first winner.
     """
     seen = []
 
-    def solve(instance):
-        seen.append(("solve", instance))
-        return solve_exact(instance, node_budget=1) if call == 1 else solve_exact(instance)
-
-    def without(instance, solution, buyer_ids):
-        seen.append(("without", instance))
-        if call == 2:
-            return solve_exact_without(instance, solution, buyer_ids, node_budget=1)
-        return solve_exact_without(instance, solution, buyer_ids)
+    def solve(instance, **kwargs):
+        seen.append(instance)
+        if len(seen) == call:
+            kwargs["node_budget"] = 1
+        return solve_exact(instance, **kwargs)
 
     monkeypatch.setattr(mechanisms, "solve_exact", solve)
-    monkeypatch.setattr(mechanisms, "solve_exact_without", without)
     return seen
 
 
@@ -220,8 +207,7 @@ def test_exhausted_search_aborts_the_round_uncharged(monkeypatch, call):
     seen = exhaust_on_call(monkeypatch, call)
     with pytest.raises(SearchBudgetExceeded):
         run_srmra(bids, sellers, ledger, MechanismConfig(pricing="critical_value"))
-    assert [name for name, _ in seen] == ["solve", "without"][:call]
-    assert [len(instance.bids) for _, instance in seen] == [2, 2][:call]
+    assert [[b.buyer_id for b in instance.bids] for instance in seen] == [[0, 1], [1]][:call]
     assert ledger.history == []
 
 
@@ -235,9 +221,11 @@ def test_exhausted_search_exits_3(monkeypatch, tmp_path, capsys, call):
     path.write_text(json.dumps(params))
     seen = exhaust_on_call(monkeypatch, call)
     assert main(["compare", str(path), "--seeds", "1", "--out", str(tmp_path / "cv.csv")]) == 3
-    assert [name for name, _ in seen] == ["solve", "without"][:call]
+    assert len(seen) == call
     if call == 2:
-        assert seen[1][1] is seen[0][1]
+        first_winner = solve_exact(seen[0]).assignment.pairs[0][0]
+        others = tuple(b for b in seen[0].bids if b.buyer_id != first_winner)
+        assert seen[1] == WdpInstance(others, seen[0].seller_caps)
     err = capsys.readouterr().err
     assert err == "error: run aborted: exact solver search budget exceeded (1 nodes)\n"
 
@@ -297,6 +285,16 @@ def test_greedy_tie_at_the_blocking_bid():
         assert clear(bids, sellers, "greedy").payments == payments
         for buyer_id, payment in payments.items():
             assert payment == bisect_payment(bids, sellers, buyer_id, solve_greedy)
+
+
+def test_greedy_prices_a_round_past_the_exact_solvers_buyer_cap():
+    # 501 unit bids of 1 to 501 milli for 100 units: the top 100 win, and
+    # without any one of them the bid of 401 (buyer 400) takes the last
+    # unit, so each winner pays one milli more than that.
+    n = wdp.MAX_EXACT_BUYERS + 1
+    bids = [Bid(i, i + 1, ResourceVector((1,))) for i in range(n)]
+    sellers = (Seller(0, ResourceVector((100,))),)
+    assert clear(bids, sellers, "greedy").payments == {i: 402 for i in range(n - 100, n)}
 
 
 def test_greedy_winner_that_always_fits_pays_one():

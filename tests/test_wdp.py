@@ -20,7 +20,6 @@ from mdcauction import (
 )
 from mdcauction import wdp
 from mdcauction.model import Assignment
-from mdcauction.wdp import solve_exact_without
 from wdp_oracle import (
     brute_force_best,
     capacity_multiplier,
@@ -355,9 +354,9 @@ switches = st.sampled_from([wdp.SWITCH_NODES, 1, 2, 5, 40])
 def _phased(switch):
     """``solve_exact`` switching phases after ``switch`` nodes."""
 
-    def solve(instance, node_budget):
+    def solve(instance, node_budget, floor=-1):
         with mock.patch.object(wdp, "SWITCH_NODES", switch):
-            return solve_exact(instance, node_budget)
+            return solve_exact(instance, node_budget, floor)
 
     return solve
 
@@ -568,16 +567,15 @@ def test_the_phases_on_the_15_by_2_ladder(seed, phase_one, phase_two):
 
 @st.composite
 def pricing_instances(draw):
-    """Small instances for the searches without each buyer, with a subset of buyers to drop.
+    """A small instance and one of its bidders, winner or not, to drop.
 
     0-3 dimensions with zero capacities and demands; 1-4 sellers and
-    0-8 bids with non-contiguous ids, the bids in arbitrary order;
-    amounts 1-4, so tied optima are common.  The dropped buyers are
-    drawn from all bidders, winners or not.
+    1-8 bids with non-contiguous ids, the bids in arbitrary order;
+    amounts 1-4, so tied optima are common.
     """
     d = draw(st.integers(0, 3))
     m = draw(st.integers(1, 4))
-    n = draw(st.integers(0, 8))
+    n = draw(st.integers(1, 8))
     buyer_ids = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
     units = st.integers(0, 3)
     bids = tuple(
@@ -588,45 +586,44 @@ def pricing_instances(draw):
     caps = {
         s: ResourceVector(tuple(draw(st.integers(0, 4)) for _ in range(d))) for s in seller_ids
     }
-    dropped = draw(st.lists(st.sampled_from(buyer_ids), unique=True)) if buyer_ids else []
-    return WdpInstance(bids, caps), dropped
+    return WdpInstance(bids, caps), draw(st.sampled_from(buyer_ids))
 
 
 def without(instance, buyer_id):
+    """``instance`` without ``buyer_id``'s bid, built and checked afresh."""
     others = tuple(b for b in instance.bids if b.buyer_id != buyer_id)
     return WdpInstance(others, instance.seller_caps)
 
 
-def solves_alone(instance, buyer_ids, **budget):
-    """``solve_exact`` without each buyer in turn, or the exception of the first that runs out."""
-    try:
-        return {w: solve_exact(without(instance, w), **budget) for w in buyer_ids}
-    except SearchBudgetExceeded as exc:
-        return exc
-
-
 @settings(max_examples=400, deadline=None)
-@given(pricing_instances(), st.one_of(st.none(), st.integers(1, 40)))
-def test_exact_without_matches_a_solve_without_each_buyer(data, node_budget):
+@given(pricing_instances(), switches)
+def test_a_solve_without_a_bidder_matches_a_solve_of_the_round_built_without_it(data, switch):
+    # The round is solved first, so the round without the bidder derives its
+    # setup from the round's; its incumbent starts just below the round's
+    # solution less the bidder, which is feasible without it.
     instance, dropped = data
-    solution = solve_exact(instance)
-    budget = {} if node_budget is None else {"node_budget": node_budget}
-    expected = solves_alone(instance, dropped, **budget)
-    try:
-        joint = solve_exact_without(instance, solution, dropped, **budget)
-    except SearchBudgetExceeded as exc:
-        # Only a solve alone raises, and it is the first one that runs out.
-        assert isinstance(expected, SearchBudgetExceeded)
-        assert (exc.node_budget, exc.best) == (expected.node_budget, expected.best)
-        return
-    if isinstance(expected, SearchBudgetExceeded):
-        # The searches without each buyer finished where a solve alone would not have.
-        expected = solves_alone(instance, dropped)
-    assert sorted(joint) == sorted(expected)
-    for buyer_id, alone in expected.items():
-        assert joint[buyer_id].assignment.pairs == alone.assignment.pairs
-        assert joint[buyer_id].objective == alone.objective
-        assert joint[buyer_id].optimal == alone.optimal
+    solve = _phased(switch)
+    budget = wdp.DEFAULT_NODE_BUDGET
+    solution = solve(instance, budget)
+    floor = solution.objective - next(b.amount for b in instance.bids if b.buyer_id == dropped) - 1
+    fresh = without(instance, dropped)
+    derived = instance.without(dropped)
+    assert derived == fresh
+    found = solve(derived, budget, floor)
+    expected = solve(fresh, budget)
+    assert found.assignment.pairs == expected.assignment.pairs
+    assert found.objective == expected.objective
+    assert found.optimal == expected.optimal
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_instances(), switches, st.data())
+def test_a_floor_below_the_optimum_returns_the_same_solution(instance, switch, data):
+    # The incumbent starts at the floor; the first leaf worth the optimum is still kept.
+    solve = _phased(switch)
+    expected = solve(instance, wdp.DEFAULT_NODE_BUDGET)
+    floor = data.draw(st.integers(-1, expected.objective - 1))
+    assert solve(instance, wdp.DEFAULT_NODE_BUDGET, floor) == expected
 
 
 def nodes_needed(instance, solve=solve_exact):
@@ -664,58 +661,43 @@ def test_exact_expands_as_many_nodes_as_the_list_oracle(instance, switch):
     assert needed == 1 or not _outcome(_oracle(switch), instance, needed - 1)[0]
 
 
-@pytest.mark.parametrize("switch", [wdp.SWITCH_NODES, 2])
-def test_exact_without_prices_a_round_whose_solves_alone_each_fit(monkeypatch, switch):
-    # The budget is just enough for the largest solve without one winner;
-    # where a search without a winner needs more, each winner is solved alone.
-    # With an early switch those solves run the phases, and still return what
-    # the buyer-order search does.
-    fell_back = 0
-    for seed in range(80):
-        instance = make_instance(*random_unit_instance(seed))
-        solution = solve_exact(instance)
-        winners = [buyer_id for buyer_id, _ in solution.assignment.pairs]
-        expected = solves_alone(instance, winners)
-        monkeypatch.setattr(wdp, "SWITCH_NODES", switch)
-        budget = max((nodes_needed(without(instance, w)) for w in winners), default=1)
-        calls = []
-
-        def counting(instance, node_budget):
-            calls.append(node_budget)
-            return solve_exact(instance, node_budget)
-
-        monkeypatch.setattr(wdp, "solve_exact", counting)
-        joint = solve_exact_without(instance, solution, winners, node_budget=budget)
-        monkeypatch.undo()
-        assert joint == expected, seed
-        assert calls in ([], [budget] * len(winners)), seed
-        fell_back += bool(calls)
-    assert fell_back >= 10
+@pytest.mark.parametrize("solved", [False, True])
+def test_without_a_buyer_who_has_no_bid_raises(solved):
+    instance = make_instance([3, 4], [(1,), (1,)], [(1,)])
+    if solved:
+        solve_exact(instance)
+    with pytest.raises(ValidationError, match="buyer 5 has no bid"):
+        instance.without(5)
+    others = instance.without(0)
+    with pytest.raises(ValidationError, match="buyer 0 has no bid"):
+        others.without(0)
 
 
-def test_the_capacity_bound_prices_the_14_by_2_round_at_seed_6_in_one_joint_search(monkeypatch):
-    # The searches without each winner take at most 3 603 nodes each
-    # (15 387 in all), so none falls back to solving each winner alone.
+def test_the_capacity_bound_prices_the_14_by_2_round_at_seed_6_in_phase_zero():
+    # Each solve without a winner proves its optimum in buyer order within
+    # 3 603 nodes (15 387 in all), below SWITCH_NODES, so no density-order
+    # search runs; one node less and the search without buyer 10 runs out.
     instance = ladder_instance(14, 2, 6)
     solution = solve_exact(instance)
-    winners = [buyer_id for buyer_id, _ in solution.assignment.pairs]
-    expected = solves_alone(instance, winners)
-
-    def alone(instance, node_budget):
-        raise AssertionError("a search without a winner ran out of nodes")
-
-    monkeypatch.setattr(wdp, "solve_exact", alone)
-    joint = solve_exact_without(instance, solution, winners, node_budget=20_000)
-    assert joint == expected
+    amount = {b.buyer_id: b.amount for b in instance.bids}
+    objectives = []
+    for winner, _ in solution.assignment.pairs:
+        floor = solution.objective - amount[winner] - 1
+        found = solve_exact(instance.without(winner), 3_603, floor)
+        assert found == solve_exact(without(instance, winner)), winner
+        objectives.append(found.objective)
+    with pytest.raises(SearchBudgetExceeded):
+        solve_exact(instance.without(10), 3_602, solution.objective - amount[10] - 1)
     assert solution.objective == 159_000
-    assert [joint[w].objective for w in winners] == [
+    assert objectives == [
         154_000, 151_000, 154_000, 149_000, 149_000, 148_000, 152_000, 157_000, 148_000, 157_000
     ]
 
 
 def test_a_search_cut_short_leaves_the_instance_as_it_was():
-    # Each search works on its own copy of the instance's packed residuals.
-    joint_cut_short = 0
+    # Each search works on its own copy of the packed residuals, which a
+    # round from ``without`` shares with the round it came from.
+    cut_short = 0
     for seed in range(40):
         instance = make_instance(*random_unit_instance(seed))
         fresh = WdpInstance(instance.bids, instance.seller_caps)
@@ -723,16 +705,15 @@ def test_a_search_cut_short_leaves_the_instance_as_it_was():
             solve_exact(instance, node_budget=1)
         solution = solve_exact(instance)
         assert solution == solve_exact(fresh), seed
-        winners = [buyer_id for buyer_id, _ in solution.assignment.pairs]
-        try:
-            solve_exact_without(instance, solution, winners, node_budget=1)
-        except SearchBudgetExceeded:
-            joint_cut_short += 1
-        assert solve_exact(instance) == solution, seed
-        assert solve_exact_without(instance, solution, winners) == solve_exact_without(
-            fresh, solution, winners
-        ), seed
-    assert joint_cut_short > 20
+        for winner, _ in solution.assignment.pairs:
+            others = instance.without(winner)
+            try:
+                solve_exact(others, node_budget=1)
+            except SearchBudgetExceeded:
+                cut_short += 1
+            assert solve_exact(instance) == solution, seed
+            assert solve_exact(others) == solve_exact(without(instance, winner)), seed
+    assert cut_short > 100
 
 
 def test_a_round_at_the_exact_buyer_cap_solves():
@@ -743,11 +724,11 @@ def test_a_round_at_the_exact_buyer_cap_solves():
     instance = WdpInstance(bids[:-1], caps)
     solution = solve_exact(instance)
     assert solution == WdpSolution(Assignment(tuple((i, 0) for i in range(n))), 5 * n, True)
-    without_first = solve_exact_without(instance, solution, [0])
+    without_first = solve_exact(instance.without(0), floor=5 * (n - 1) - 1)
     others = tuple((i, 0) for i in range(1, n))
-    assert without_first == {0: WdpSolution(Assignment(others), 5 * (n - 1), True)}
+    assert without_first == WdpSolution(Assignment(others), 5 * (n - 1), True)
     crowded = WdpInstance(bids, caps)
     with pytest.raises(ValidationError, match="limit of 500 buyers"):
         solve_exact(crowded)
-    with pytest.raises(ValidationError, match="limit of 500 buyers"):
-        solve_exact_without(crowded, solution, [0])
+    # The crowded round has no setup to derive from, so this one is laid out afresh.
+    assert solve_exact(crowded.without(n)) == solution
