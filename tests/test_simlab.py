@@ -72,6 +72,29 @@ class TestGenerator:
                 assert all(2000 <= q <= 3000 for q in bid.demand)
         assert scenario.bids_are_valuations
 
+    @pytest.mark.parametrize("period", [None, (40, 60)])
+    def test_the_draw_cap_counts_the_draws_generation_takes(self, period, monkeypatch):
+        # GeneratorParams counts the draws of generate_scenario's one
+        # next_u64s call without taking them; the two must change together.
+        fields = dict(
+            n_buyers=3, m_sellers=2, horizon=4, dimensions=2, period_capacity_range=period
+        )
+        counts = []
+        draw = SplitMix64.next_u64s
+
+        def counted(rng, count):
+            counts.append(count)
+            return draw(rng, count)
+
+        monkeypatch.setattr(SplitMix64, "next_u64s", counted)
+        generate_scenario(GeneratorParams(**fields))
+        [taken] = counts
+        monkeypatch.setattr("mdcauction.scenario.MAX_DRAWS", taken)
+        GeneratorParams(**fields)
+        monkeypatch.setattr("mdcauction.scenario.MAX_DRAWS", taken - 1)
+        with pytest.raises(ValidationError, match=rf"^draws: the workload takes {taken};"):
+            GeneratorParams(**fields)
+
     def test_unit_demand_profile_matches_replay_engine(self):
         # demand pinned to 1, one seller with room for 2: the per-round WDP
         # reduces to top-2-by-bid, which is exactly what replay computes
