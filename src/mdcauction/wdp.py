@@ -11,7 +11,7 @@ anything larger.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
@@ -252,6 +252,18 @@ def solve_exact(
     returns.  Residual capacities are packed integers, so a fit test is
     one subtraction and one mask (see ``WdpInstance._layout``).
 
+    Phases 1 and 2 below add a third bound, recomputed at the node
+    (``_pool_bound``): for each dimension k whose demand from depth i
+    on exceeds T_k, the sellers' total capacity in k, the
+    fractional-knapsack (Dantzig) bound of the bids from i on in R_k.
+    It sees what the root-fixed multiplier misses, how much of the
+    pooled residual the assignments so far have used.  Its residuals
+    ride in the low bits of ``reduced``, still one addition per
+    assignment, and it is tested once per recursive call (at the root
+    and at each node entered by an assignment), one ``bisect_right``
+    per dimension it tests.  It is admissible, so it changes which
+    nodes are expanded but never which leaves improve the incumbent.
+
     Buyer id order is a poor branch order for a knapsack, so the nodes
     of ``node_budget`` are spent in up to three phases:
 
@@ -290,11 +302,13 @@ def solve_exact(
         if found[0].assignment:
             floor = found[0].objective
         try:
-            proof, spent = _search(instance._dense_setup(), left, floor)
+            dense = instance._dense_setup()
+            proof, spent = _search(dense, left, floor, pool=_pool_bound(instance, dense))
             if proof.objective == floor:
                 return WdpSolution(found[0].assignment, floor, True)
             found.append(WdpSolution(proof.assignment, proof.objective, False))
-            return _search(setup, left - spent, proof.objective - 1, stop=True)[0]
+            pool = _pool_bound(instance, setup)
+            return _search(setup, left - spent, proof.objective - 1, True, pool)[0]
         except SearchBudgetExceeded as exc:
             found.append(exc.best)
     found.append(solve_greedy(instance))
@@ -306,7 +320,7 @@ class _Stop(Exception):
     """Unwinds a search stopped at its first leaf."""
 
 
-def _search(setup, node_budget: int, best_value: int, stop: bool = False):
+def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=None):
     """``solve_exact``'s branch and bound on ``setup``, laid out as ``WdpInstance._layout``.
 
     The incumbent starts at ``best_value``, below the optimum, with no
@@ -315,51 +329,166 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False):
     optimal.  With ``stop`` it returns at the first leaf worth more than
     ``best_value``.  Raises SearchBudgetExceeded past ``node_budget``
     nodes, carrying the best leaf reached, if any.
+
+    A node is counted, checked against the budget and cut by the
+    suffix and Lagrangian bounds in its parent's loop, in the order the
+    nodes are reached.  Only an assignment that passes recurses; leaving
+    the buyer unassigned is the next turn of the loop.  So a search
+    makes one call for the root and one per assignment that passes, not
+    one per node, and recurses only as deep as the buyers it assigns.
+
+    ``pool``, from ``_pool_bound(instance, setup)``, adds the
+    node-local pooled bound.  It is tested once per call, at one shift,
+    one mask and one ``bisect_right`` per dimension listed for the
+    call's depth, and costs nothing more per assignment.  It replaces
+    the setup's ``margins`` and ``rsum`` with ones shifted up by ``low``
+    bits, and ``bar`` is shifted the same way; below them ``reduced``
+    carries the pooled residuals R_k, starting from ``pooled`` (see
+    ``_pool_bound``).  Without ``pool``, ``low`` is 0 and no dimension
+    is tested: that is phase 0's search.
     """
     _bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = setup
     rooms = list(rooms)
     n = len(amounts)
+    pooled, low, margins, rsum, tests = pool or (0, 0, margins, rsum, [()] * (n + 1))
     best_pairs: tuple[tuple[int, int], ...] = ()
-    # A node is cut when its reduced + rsum[i] falls below bar; with no multiplier both are 0.
-    bar = (best_value + 1) * scale - base
+    # A node is cut when its reduced + rsum[i] falls below bar; with no multiplier bar is 0.
+    bar = (best_value + 1) * scale - base << low
     chosen: list[tuple[int, int]] = []
-    nodes = 0
+    nodes = 1
+
+    def exhausted() -> SearchBudgetExceeded:
+        reached = WdpSolution(Assignment(best_pairs), best_value if best_pairs else 0, False)
+        return SearchBudgetExceeded(node_budget, reached)
 
     def descend(i: int, value: int, reduced: int) -> None:
+        # The node was counted and passed both cuts before the call.
         nonlocal best_value, best_pairs, bar, nodes
-        nodes += 1
-        if nodes > node_budget:
-            reached = WdpSolution(Assignment(best_pairs), best_value if best_pairs else 0, False)
-            raise SearchBudgetExceeded(node_budget, reached)
-        if value + suffix[i] <= best_value or reduced + rsum[i] < bar:
-            return
-        if i == n:
-            if value > best_value:
-                best_value = value
-                best_pairs = tuple(chosen)
-                bar = (value + 1) * scale - base
-                if stop:
-                    raise _Stop
-            return
-        need = needs[i]
-        taken = value + amounts[i]
-        reduced_taken = reduced + margins[i]
-        for j, pair in choices[i]:
-            room = rooms[j]
-            left = room - need
-            if left & guard == guard:
-                rooms[j] = left
-                chosen.append(pair)
-                descend(i + 1, taken, reduced_taken)
-                chosen.pop()
-                rooms[j] = room
-        descend(i + 1, value, reduced)
+        for shift, mask, weights, rows in tests[i]:
+            left = reduced >> shift & mask
+            before, used, amount, demand = rows[bisect_right(weights, left)]
+            if value + before + amount * (left - used) // demand <= best_value:
+                return
+        while i < n:
+            need = needs[i]
+            options = choices[i]
+            taken = value + amounts[i]
+            reduced_taken = reduced + margins[i]
+            i += 1
+            reach = taken + suffix[i]
+            reach_reduced = reduced_taken + rsum[i]
+            for j, pair in options:
+                room = rooms[j]
+                left = room - need
+                if left & guard == guard:
+                    nodes += 1
+                    if nodes > node_budget:
+                        raise exhausted()
+                    if reach > best_value and reach_reduced >= bar:
+                        rooms[j] = left
+                        chosen.append(pair)
+                        descend(i, taken, reduced_taken)
+                        chosen.pop()
+                        rooms[j] = room
+            nodes += 1
+            if nodes > node_budget:
+                raise exhausted()
+            if value + suffix[i] <= best_value or reduced + rsum[i] < bar:
+                return
+        # A leaf past the suffix cut is worth more than the incumbent.
+        best_value = value
+        best_pairs = tuple(chosen)
+        bar = (value + 1) * scale - base << low
+        if stop:
+            raise _Stop
 
+    if node_budget < 1:
+        raise exhausted()
     try:
-        descend(0, 0, 0)
+        if suffix[0] > best_value and pooled + rsum[0] >= bar:
+            descend(0, 0, pooled)
     except _Stop:
         pass
     return WdpSolution(Assignment(best_pairs), best_value, True), nodes
+
+
+def _pool_bound(instance: WdpInstance, setup):
+    """``(pooled, low, margins, rsum, tests)``: the node-local pooled bound on ``setup``.
+
+    T_k is the sellers' total capacity in dimension k, and R_k what the
+    assignments above a node leave of it.  Every leaf below a node at
+    depth i fits the bids it assigns from i on into R_k, so their
+    fractional-knapsack (Dantzig) bound in k, on R_k, bounds the value
+    still to come (Martello & Toth, *Knapsack Problems*, 1990, ch. 2;
+    Kellerer, Pferschy & Pisinger, 2004, ch. 5).  A bid with no choices
+    (the dropped bid of a round from ``WdpInstance.without``) is left
+    out.  Only the dimensions whose demand exceeds T_k are kept.
+
+    The R_k of the kept dimensions are fields of one integer, each
+    ``width`` bits wide, the bit length of the largest kept T_k:
+    ``pooled`` packs the T_k, and ``low`` is the fields' total width.
+    ``margins[i]`` is the setup's margin shifted up by ``low`` less bid
+    i's demand packed the same way, and ``rsum`` is the setup's shifted
+    up by ``low``.  So ``reduced``, started at ``pooled``, carries the
+    Lagrangian sum above the fields and the R_k in them at one addition
+    per assignment.  An assignment always fits its seller, so no R_k
+    goes below 0 and no field borrows: no guard bits are needed.  The
+    fields hold less than ``1 << low``, so ``reduced + rsum[i] >= bar``
+    exactly when the unshifted sum reaches the unshifted bar.
+
+    ``tests[i]`` lists ``(shift, mask, weights, rows)`` for each kept k
+    whose demand from bid i on exceeds T_k; the others are not tested
+    at depth i.  The bids from i on go by descending a / d_k, zero
+    demands first.  ``rows[t]`` is ``(V_t, W_t, a_t, d_t)``, with V_t
+    and W_t the amount and demand of the t bids ahead of bid t in that
+    order, and ``weights[t]`` is W_t + d_t.  The lists end at the first
+    bid past T_k, so ``t = bisect_right(weights, R_k)`` is always a row,
+    and the bound is V_t + floor(a_t * (R_k - W_t) / d_t), in exact
+    integers.
+    """
+    bids, amounts, _guard, _rooms, _needs, choices, _suffix, _base, _scale, margins, rsum = setup
+    n = len(bids)
+    caps = instance.seller_caps.values()
+    demands = [bid.demand.units for bid in bids]
+    live = [i for i in range(n) if choices[i]]
+    kept = []
+    for k in range(instance.dimension):
+        total = sum(cap.units[k] for cap in caps)
+        ahead = [0] * (n + 1)
+        for i in reversed(range(n)):
+            ahead[i] = ahead[i + 1] + (demands[i][k] if choices[i] else 0)
+        if ahead[0] > total:
+            kept.append((k, total, ahead))
+    width = max((total for _k, total, _ahead in kept), default=0).bit_length()
+    mask = (1 << width) - 1
+    low = width * len(kept)
+    shifts = [f * width for f in range(len(kept))]
+    pooled = sum(total << shift for (_k, total, _ahead), shift in zip(kept, shifts))
+    margins = [
+        (margin << low) - sum(demand[k] << shift for (k, _t, _a), shift in zip(kept, shifts))
+        for margin, demand in zip(margins, demands)
+    ]
+    rsum = [total << low for total in rsum]
+    tests = [[] for _ in range(n + 1)]
+    for (k, total, ahead), shift in zip(kept, shifts):
+        dense = [(amounts[i], demands[i][k], i) for i in live if demands[i][k]]
+        _by_density(dense)
+        order = [(amounts[i], 0, i) for i in live if not demands[i][k]] + dense
+        for i in range(n):
+            if ahead[i] <= total:
+                break
+            value = weight = 0
+            weights, rows = [], []
+            for amount, demand, t in order:
+                if t >= i:
+                    rows.append((value, weight, amount, demand))
+                    value += amount
+                    weight += demand
+                    weights.append(weight)
+                    if weight > total:
+                        break
+            tests[i].append((shift, mask, weights, rows))
+    return pooled, low, margins, rsum, tests
 
 
 def _scale(instance: WdpInstance) -> tuple[int, list[int]]:

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from mdcauction import (
     WdpInstance,
     WdpSolution,
     generate_scenario,
+    mechanisms,
     solve_exact,
     solve_greedy,
 )
@@ -489,6 +491,65 @@ def test_the_bounds_are_at_least_the_optimum_of_the_bids_left(instance):
             assert base + rsum[i] >= optimum * scale
 
 
+@st.composite
+def pool_rounds(draw):
+    """Up to 8 bids in 0-3 dimensions; zero capacities, demands and amounts all occur."""
+    d = draw(st.integers(0, 3))
+    units = st.lists(st.integers(0, 4), min_size=d, max_size=d).map(tuple)
+    n = draw(st.integers(0, 8))
+    bids = tuple(Bid(i, draw(st.integers(0, 6)), ResourceVector(draw(units))) for i in range(n))
+    caps = {2 * j + 1: ResourceVector(draw(units)) for j in range(draw(st.integers(0, 3)))}
+    return WdpInstance(bids, caps)
+
+
+def pooled_bounds(tests, i, carried):
+    """The bounds ``_pool_bound`` lists at depth i, read from ``carried`` as its docstring says."""
+    for shift, mask, weights, rows in tests[i]:
+        left = carried >> shift & mask
+        before, used, amount, demand = rows[bisect_right(weights, left)]
+        yield before + amount * (left - used) // demand
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_rounds())
+@example(_instance([4, 3, 5, 2], [(2, 1), (1, 2), (3, 0), (1, 1)], [(2, 2), (1, 1)]))
+@example(_instance([0, 6, 1, 6, 2], [(3,), (0,), (2,), (4,), (1,)], [(3,), (0,), (2,)]))
+def test_the_pooled_bound_is_at_least_the_optimum_of_the_bids_left(instance):
+    # In the buyer-order layout, the density layout and each round from
+    # ``without``: at each depth i, after each feasible assignment of the
+    # bids before i, every bound listed at i must be at least the optimum
+    # of the bids from i on in the pooled residual left, taken as one seller.
+    caps = tuple(instance.seller_caps[s].units for s in sorted(instance.seller_caps))
+    instance._setup  # built first, so each round below derives its setup from it
+    layouts = [(instance, instance._setup), (instance, instance._dense_setup())]
+    for bid in instance.bids:
+        derived = instance.without(bid.buyer_id)
+        layouts.append((derived, derived._setup))
+    for derived, setup in layouts:
+        pooled, _low, margins, _rsum, tests = wdp._pool_bound(derived, setup)
+        bids = setup[0]
+        states = {(caps, pooled)}  # (each seller's residual, the integer the search carries)
+        for i in range(len(bids) + 1):
+            rest = [b for b in bids[i:] if b in derived.bids]
+            optima = {}
+            for residual, carried in states if tests[i] else ():
+                left = tuple(sum(room[k] for room in residual) for k in range(instance.dimension))
+                if left not in optima:
+                    demands = [b.demand.units for b in rest]
+                    optima[left] = brute_force_best([b.amount for b in rest], demands, [left])
+                for bound in pooled_bounds(tests, i, carried):
+                    assert bound >= optima[left], (i, left)
+            if i == len(bids) or bids[i] not in derived.bids:
+                continue
+            demand = bids[i].demand.units
+            for residual, carried in list(states):
+                for j, room in enumerate(residual):
+                    after = tuple(r - q for r, q in zip(room, demand))
+                    if min(after, default=0) >= 0:
+                        assigned = residual[:j] + (after,) + residual[j + 1 :]
+                        states.add((assigned, carried + margins[i]))
+
+
 def test_floor_the_capacity_bound_proves_the_ladder_25_by_2_at_seed_101():
     # A floor on the solver's power: a better search may only keep it.  The
     # buyer-order search exhausts 100 000 nodes without the bound.  The
@@ -500,10 +561,11 @@ def test_floor_the_capacity_bound_proves_the_ladder_25_by_2_at_seed_101():
     assert check_feasible(solution.assignment, instance)
 
 
-def test_floor_the_phases_prove_at_least_32_of_40_ladder_instances_within_100k_nodes():
+def test_floor_the_phases_prove_at_least_33_of_40_ladder_instances_within_100k_nodes():
     # The wdp-ladder sizes up to 30 x 2 at seeds 101-108.  The buyer-order
-    # search alone proves 27 of them within the budget, the phases 32; a
-    # floor on the solver's power, which a better search may only raise.
+    # search alone proves 27 of them within the budget, the phases 32 with
+    # the root bounds only and 33 with the pooled bound; a floor on the
+    # solver's power, which a better search may only raise.
     proven = 0
     for seed in range(101, 109):
         for buyers, sellers in [(10, 1), (15, 2), (20, 2), (25, 2), (30, 2)]:
@@ -520,7 +582,7 @@ def test_floor_the_phases_prove_at_least_32_of_40_ladder_instances_within_100k_n
                 demands = [tuple(b.demand) for b in instance.bids]
                 caps = [tuple(cap) for cap in instance.seller_caps.values()]
                 assert solution.objective == brute_force_best(amounts, demands, caps)
-    assert proven >= 32
+    assert proven >= 33
 
 
 @pytest.mark.parametrize("seed", [101, 107])
@@ -629,6 +691,32 @@ def test_the_solves_without_each_winner_of_the_14_by_2_round_at_seed_6():
     assert objectives == [
         154_000, 151_000, 154_000, 149_000, 149_000, 148_000, 152_000, 157_000, 148_000, 157_000
     ]
+
+
+def test_every_winner_of_the_20_by_2_round_at_seed_117_prices_within_100k_nodes(monkeypatch):
+    # Each winner's solve without it starts from the round's setup and a
+    # floor; at 100 000 nodes each must finish with the payment it gives at
+    # the default budget.  Some of them leave phase 0.
+    instance = ladder_instance(20, 2, 117)
+    solution = solve_exact(instance)
+    winners = [bid for bid in instance.bids if bid.buyer_id in solution.assignment.buyers()]
+    payments = [mechanisms._critical_payment(instance, bid, solution) for bid in winners]
+    phased = 0
+    for bid in winners:
+        floor = solution.objective - bid.amount - 1
+        found = solve_exact(instance.without(bid.buyer_id), 100_000, floor=floor)
+        assert found.optimal
+        try:
+            solve_exact(instance.without(bid.buyer_id), wdp.SWITCH_NODES, floor=floor)
+        except SearchBudgetExceeded:
+            phased += 1
+    assert phased > 0
+
+    def budgeted(others, floor):
+        return solve_exact(others, 100_000, floor=floor)
+
+    monkeypatch.setattr(mechanisms, "solve_exact", budgeted)
+    assert [mechanisms._critical_payment(instance, bid, solution) for bid in winners] == payments
 
 
 def test_a_search_cut_short_leaves_the_instance_as_it_was():
