@@ -120,10 +120,12 @@ def cmd_run(args) -> int:
         raise ValidationError("--seed", "scenario has explicit bids; a seed cannot apply")
     evaluation = evaluate(scenario, args.mechanism, mech)
 
+    # The shortest text that reads back as gamma, so no two gammas print alike.
+    gamma = repr(mech.gamma).removesuffix(".0")
     print(f"scenario: {args.scenario}")
     print(
         f"mechanism: {args.mechanism} (solver={mech.solver}, pricing={mech.pricing},"
-        f" gamma={mech.gamma:g}, scope={mech.scope})"
+        f" gamma={gamma}, scope={mech.scope})"
     )
     _emit(io.run_report_lines(evaluation.result, evaluation.metrics))
 
@@ -133,7 +135,7 @@ def cmd_run(args) -> int:
             "mechanism": args.mechanism,
             "solver": mech.solver,
             "pricing": mech.pricing,
-            "gamma": f"{mech.gamma:g}",
+            "gamma": gamma,
             "seed": str(scenario.generator.seed) if scenario.generator else "-",
             "rng": GENERATOR_NAME if scenario.generator else "-",
         }

@@ -347,6 +347,12 @@ def _winners_cell(outcome) -> str:
     return ";".join(f"{b}:{s}" for b, s in outcome.winners)
 
 
+def _exhaustion_rounds(metrics: RunMetrics, separator: str) -> str:
+    """``buyer=round`` for each buyer by id (``never`` if its budget lasts), or ``-`` for none."""
+    rounds = sorted(metrics.exhaustion_round.items())
+    return separator.join(f"{b}={'never' if r is None else r}" for b, r in rounds) or "-"
+
+
 def result_csv_lines(
     result: AuctionResult,
     command: str,
@@ -366,11 +372,7 @@ def result_csv_lines(
     )
     if metrics is not None:
         lines.append(f"# allocation_ratio={metrics.allocation_ratio:.4f}")
-        exhaustion = ";".join(
-            f"{buyer}={round_ if round_ is not None else 'never'}"
-            for buyer, round_ in sorted(metrics.exhaustion_round.items())
-        )
-        lines.append(f"# exhaustion_rounds={exhaustion or '-'}")
+        lines.append(f"# exhaustion_rounds={_exhaustion_rounds(metrics, ';')}")
     return lines
 
 
@@ -387,11 +389,7 @@ def run_report_lines(result: AuctionResult, metrics: RunMetrics) -> list[str]:
         f" revenue={format_milli(result.total_revenue)}"
     )
     lines.append(f"allocation_ratio={metrics.allocation_ratio:.4f}")
-    exhaustion = " ".join(
-        f"{buyer}={round_ if round_ is not None else 'never'}"
-        for buyer, round_ in sorted(metrics.exhaustion_round.items())
-    )
-    lines.append(f"exhaustion_rounds: {exhaustion or '-'}")
+    lines.append(f"exhaustion_rounds: {_exhaustion_rounds(metrics, ' ')}")
     return lines
 
 

@@ -233,10 +233,10 @@ def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
     solver: on equal demands its density order is the bid order, ties to
     the lowest id.  The exact solver picks the same winners, and its
     capacity bound proves 30 equal bids for 15 items in 46 nodes, but it
-    branches in buyer id order, not bid order: 30 bids drawn from 1 to 5
-    for 15 items take it 10 579 nodes (3.2 ms against greedy's 65 us on
-    a 2-vCPU host, Python 3.11), and 200 such bids for 100 items exhaust
-    its node budget.
+    branches in buyer id order, not bid order: over Python ``random``
+    seeds 0-4, 30 bids drawn from 1 to 5 for 15 items take it 465 to
+    4 282 nodes, and 200 such bids for 100 items exhaust its node budget
+    on two seeds (the README gives the figures by seed).
     """
     if not isinstance(items_per_round, int) or isinstance(items_per_round, bool):
         raise ValidationError("items_per_round", "must be an integer")

@@ -140,14 +140,19 @@ def compute_metrics(result: AuctionResult) -> RunMetrics:
     return RunMetrics(ratio, exhaustion)
 
 
+def _check_mechanism(name: str, field: str) -> None:
+    """Raise ValidationError on ``field`` unless ``name`` is in ``MECHANISMS``."""
+    if name not in MECHANISMS:
+        raise ValidationError(
+            field, f"unknown mechanism {name!r}; expected one of {sorted(MECHANISMS)}"
+        )
+
+
 def evaluate(
     scenario: Scenario, mechanism: str, config: MechanismConfig = MechanismConfig()
 ) -> EvaluationResult:
     """Run one mechanism under ``config`` on one scenario and attach derived metrics."""
-    if mechanism not in MECHANISMS:
-        raise ValidationError(
-            "mechanism", f"unknown mechanism {mechanism!r}; expected one of {sorted(MECHANISMS)}"
-        )
+    _check_mechanism(mechanism, "mechanism")
     result = MECHANISMS[mechanism](scenario, config)
     return EvaluationResult(result, compute_metrics(result))
 
@@ -280,10 +285,7 @@ def compare(
     if len(set(labels)) != len(labels):
         raise ValidationError("mechanisms", f"duplicate labels: {labels}")
     for spec in specs:
-        if spec.name not in MECHANISMS:
-            raise ValidationError(
-                "mechanisms", f"unknown mechanism {spec.name!r}; expected one of {sorted(MECHANISMS)}"
-            )
+        _check_mechanism(spec.name, "mechanisms")
 
     rng = SplitMix64(params.seed)
     seeds = tuple(rng.next_u64s(n_seeds))

@@ -73,11 +73,10 @@ class WdpInstance:
 
         The bids left pass every check this round passed, so they are not
         checked again.  When this round's ``_setup`` is built, the new
-        round's is this one's with the dropped bid kept in place but given
-        no seller to choose, and its amount and positive margin taken out
-        of ``suffix`` and ``rsum`` at the depths where it is still ahead.
-        A search on it reaches, in order, the leaves of the round laid out
-        afresh, and both bounds still hold (see ``_layout``).  Raises
+        round's is this one's without the dropped bid, with ``suffix`` and
+        ``rsum`` summed again over the bids left: the layout of its own
+        bids under this round's packing, seller list and multiplier, on
+        which both bounds still hold (see ``_layout``).  Raises
         ValidationError if ``buyer_id`` has no bid in this round.
         """
         bids = tuple(b for b in self.bids if b.buyer_id != buyer_id)
@@ -86,16 +85,13 @@ class WdpInstance:
         others = object.__new__(WdpInstance)
         vars(others).update(bids=bids, seller_caps=self.seller_caps, dimension=self.dimension)
         if "_setup" in vars(self):
-            bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = (
-                self._setup
-            )
+            bids, amounts, guard, rooms, needs, sellers, _, base, scale, margins, _ = self._setup
             k = bisect_left(bids, buyer_id, key=attrgetter("buyer_id"))
-            amount, gain = amounts[k], max(margins[k], 0)
-            choices = choices[:k] + [[]] + choices[k + 1 :]
-            suffix = [total - amount for total in suffix[: k + 1]] + suffix[k + 1 :]
-            rsum = [total - gain for total in rsum[: k + 1]] + rsum[k + 1 :]
+            bids, amounts, needs, margins = map(list.copy, (bids, amounts, needs, margins))
+            del bids[k], amounts[k], needs[k], margins[k]
+            suffix, rsum = _tail_sums(amounts), _tail_sums([m if m > 0 else 0 for m in margins])
             vars(others)["_setup"] = (
-                bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum
+                bids, amounts, guard, rooms, needs, sellers, suffix, base, scale, margins, rsum
             )
         return others
 
@@ -117,11 +113,11 @@ class WdpInstance:
 
     def _layout(self, bids: list[Bid]):
         """The exact searches' state for ``bids`` in the order given: ``(bids,
-        amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum)``.
+        amounts, guard, rooms, needs, sellers, suffix, base, scale, margins, rsum)``.
 
-        ``choices[i]`` lists ``(seller index, (buyer id, seller id))`` by
-        ascending seller id; ``suffix[i]`` is the sum of the amounts from
-        bid i on.
+        ``sellers`` lists ``(seller index, seller id)`` by ascending seller
+        id, one list for every bid; ``suffix[i]`` is the sum of the amounts
+        from bid i on.
 
         Each seller's residual capacity is one integer with a field of
         B + 1 bits per dimension, where B is the bit length of the largest
@@ -137,8 +133,8 @@ class WdpInstance:
 
         ``base``, ``scale``, ``margins`` and ``rsum`` are the Lagrangian
         bound on one pooled capacity row, scaled to integers.  ``solve_exact``
-        cuts by it; on a round from ``without``, by its parent's less the
-        dropped buyer's margin: any multiplier >= 0 bounds every feasible
+        cuts by it; on a round from ``without``, by its parent's multiplier
+        over the bids left: any multiplier >= 0 bounds every feasible
         assignment of a round, so it bounds the round without any buyer
         too.  T_k is the sum of the sellers' capacities in dimension k.  Of
         the dimensions whose total demand exceeds T_k, k is the one with the
@@ -173,9 +169,7 @@ class WdpInstance:
         rooms = [guard + sum(map(lshift, cap, shifts)) for cap in caps]
         needs = [sum(map(lshift, d, shifts)) for d in demands]
         sellers = list(enumerate(seller_ids))
-        choices = [[(j, (b.buyer_id, s)) for j, s in sellers] for b in bids]
-        suffix = list(accumulate(reversed(amounts), initial=0))
-        suffix.reverse()
+        suffix = _tail_sums(amounts)
 
         zeros = [0] * self.dimension
         totals = [sum(column) for column in zip(*caps)] or zeros
@@ -196,9 +190,15 @@ class WdpInstance:
                     break
             base = price * totals[k]
             margins = [a * scale - price * d[k] for a, d in zip(amounts, demands)]
-            rsum = list(accumulate((m if m > 0 else 0 for m in reversed(margins)), initial=0))
-            rsum.reverse()
-        return bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum
+            rsum = _tail_sums([m if m > 0 else 0 for m in margins])
+        return bids, amounts, guard, rooms, needs, sellers, suffix, base, scale, margins, rsum
+
+
+def _tail_sums(values: list[int]) -> list[int]:
+    """``sums[i]`` is the sum of ``values`` from i on, and ``sums[len(values)]`` is 0."""
+    sums = list(accumulate(reversed(values), initial=0))
+    sums.reverse()
+    return sums
 
 
 @dataclass(frozen=True)
@@ -347,23 +347,25 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
     ``_pool_bound``).  Without ``pool``, ``low`` is 0 and no dimension
     is tested: that is phase 0's search.
     """
-    _bids, amounts, guard, rooms, needs, choices, suffix, base, scale, margins, rsum = setup
+    bids, amounts, guard, rooms, needs, sellers, suffix, base, scale, margins, rsum = setup
     rooms = list(rooms)
     n = len(amounts)
     pooled, low, margins, rsum, tests = pool or (0, 0, margins, rsum, [()] * (n + 1))
-    best_pairs: tuple[tuple[int, int], ...] = ()
     # A node is cut when its reduced + rsum[i] falls below bar; with no multiplier bar is 0.
     bar = (best_value + 1) * scale - base << low
-    chosen: list[tuple[int, int]] = []
+    # picked[i] is buyer i's seller on the path searched (None: unassigned), and best
+    # is picked as it was at the incumbent's leaf.
+    picked, best = [None] * n, [None] * n
     nodes = 1
 
-    def exhausted() -> SearchBudgetExceeded:
-        reached = WdpSolution(Assignment(best_pairs), best_value if best_pairs else 0, False)
-        return SearchBudgetExceeded(node_budget, reached)
+    def incumbent(optimal: bool) -> WdpSolution:
+        # A search cut short with no pairs reports 0, not the value it started from.
+        pairs = Assignment([(b.buyer_id, s) for b, s in zip(bids, best) if s is not None])
+        return WdpSolution(pairs, best_value if pairs or optimal else 0, optimal)
 
     def descend(i: int, value: int, reduced: int) -> None:
         # The node was counted and passed both cuts before the call.
-        nonlocal best_value, best_pairs, bar, nodes
+        nonlocal best_value, best, bar, nodes
         for shift, mask, weights, rows in tests[i]:
             left = reduced >> shift & mask
             before, used, amount, demand = rows[bisect_right(weights, left)]
@@ -371,45 +373,44 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
                 return
         while i < n:
             need = needs[i]
-            options = choices[i]
             taken = value + amounts[i]
             reduced_taken = reduced + margins[i]
             i += 1
             reach = taken + suffix[i]
             reach_reduced = reduced_taken + rsum[i]
-            for j, pair in options:
+            for j, seller in sellers:
                 room = rooms[j]
                 left = room - need
                 if left & guard == guard:
                     nodes += 1
                     if nodes > node_budget:
-                        raise exhausted()
+                        raise SearchBudgetExceeded(node_budget, incumbent(False))
                     if reach > best_value and reach_reduced >= bar:
                         rooms[j] = left
-                        chosen.append(pair)
+                        picked[i - 1] = seller
                         descend(i, taken, reduced_taken)
-                        chosen.pop()
+                        picked[i - 1] = None
                         rooms[j] = room
             nodes += 1
             if nodes > node_budget:
-                raise exhausted()
+                raise SearchBudgetExceeded(node_budget, incumbent(False))
             if value + suffix[i] <= best_value or reduced + rsum[i] < bar:
                 return
         # A leaf past the suffix cut is worth more than the incumbent.
         best_value = value
-        best_pairs = tuple(chosen)
+        best = picked.copy()
         bar = (value + 1) * scale - base << low
         if stop:
             raise _Stop
 
     if node_budget < 1:
-        raise exhausted()
+        raise SearchBudgetExceeded(node_budget, incumbent(False))
     try:
         if suffix[0] > best_value and pooled + rsum[0] >= bar:
             descend(0, 0, pooled)
     except _Stop:
         pass
-    return WdpSolution(Assignment(best_pairs), best_value, True), nodes
+    return incumbent(True), nodes
 
 
 def _pool_bound(instance: WdpInstance, setup):
@@ -420,9 +421,8 @@ def _pool_bound(instance: WdpInstance, setup):
     depth i fits the bids it assigns from i on into R_k, so their
     fractional-knapsack (Dantzig) bound in k, on R_k, bounds the value
     still to come (Martello & Toth, *Knapsack Problems*, 1990, ch. 2;
-    Kellerer, Pferschy & Pisinger, 2004, ch. 5).  A bid with no choices
-    (the dropped bid of a round from ``WdpInstance.without``) is left
-    out.  Only the dimensions whose demand exceeds T_k are kept.
+    Kellerer, Pferschy & Pisinger, 2004, ch. 5).  Only the dimensions
+    whose demand exceeds T_k are kept.
 
     The R_k of the kept dimensions are fields of one integer, each
     ``width`` bits wide, the bit length of the largest kept T_k:
@@ -446,17 +446,14 @@ def _pool_bound(instance: WdpInstance, setup):
     and the bound is V_t + floor(a_t * (R_k - W_t) / d_t), in exact
     integers.
     """
-    bids, amounts, _guard, _rooms, _needs, choices, _suffix, _base, _scale, margins, rsum = setup
+    bids, amounts, _guard, _rooms, _needs, _sellers, _suffix, _base, _scale, margins, rsum = setup
     n = len(bids)
     caps = instance.seller_caps.values()
     demands = [bid.demand.units for bid in bids]
-    live = [i for i in range(n) if choices[i]]
     kept = []
     for k in range(instance.dimension):
         total = sum(cap.units[k] for cap in caps)
-        ahead = [0] * (n + 1)
-        for i in reversed(range(n)):
-            ahead[i] = ahead[i + 1] + (demands[i][k] if choices[i] else 0)
+        ahead = _tail_sums([d[k] for d in demands])
         if ahead[0] > total:
             kept.append((k, total, ahead))
     width = max((total for _k, total, _ahead in kept), default=0).bit_length()
@@ -471,9 +468,9 @@ def _pool_bound(instance: WdpInstance, setup):
     rsum = [total << low for total in rsum]
     tests = [[] for _ in range(n + 1)]
     for (k, total, ahead), shift in zip(kept, shifts):
-        dense = [(amounts[i], demands[i][k], i) for i in live if demands[i][k]]
+        dense = [(amounts[i], demands[i][k], i) for i in range(n) if demands[i][k]]
         _by_density(dense)
-        order = [(amounts[i], 0, i) for i in live if not demands[i][k]] + dense
+        order = [(amounts[i], 0, i) for i in range(n) if not demands[i][k]] + dense
         for i in range(n):
             if ahead[i] <= total:
                 break

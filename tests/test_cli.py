@@ -208,6 +208,18 @@ class TestRunCommand:
         # identical per-round lines; only the mechanism banner differs
         assert mafl_out[2:] == srmra_out[2:]
 
+    @pytest.mark.parametrize(
+        "flag, shown", [("1", "1"), ("1.0000001", "1.0000001"), ("0.5", "0.5"), ("2", "2")]
+    )
+    def test_gamma_prints_as_it_reads_back(self, tmp_path, capsys, flag, shown):
+        # Formatting with ``:g`` kept six significant digits: 1.0000001 printed as 1.
+        scenario = tmp_path / "gen_scenario.json"
+        scenario.write_text(json.dumps({"generator": SMALL_PARAMS}))
+        out = tmp_path / "run.csv"
+        assert main(["run", str(scenario), "--gamma", flag, "--out", str(out)]) == 0
+        assert f" gamma={shown}, " in capsys.readouterr().out.splitlines()[1]
+        assert f" gamma={shown} " in out.read_text().splitlines()[0]
+
     def test_schema_violation_names_field(self, tmp_path, capsys):
         bad = tmp_path / "bad_scenario.json"
         doc = json.loads(json.dumps(TABLE1_SCENARIO))

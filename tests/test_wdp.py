@@ -466,6 +466,16 @@ def _instance(amounts, demands, caps):
     return WdpInstance(bids, {2 + 3 * j: cap for j, cap in enumerate(_vectors(*caps))})
 
 
+def assert_laid_out_afresh(instance):
+    """``instance._setup`` holds exactly its own bids, by buyer id, with the
+    amounts, seller list and suffix sums of a fresh layout of them."""
+    setup = instance._setup
+    bids = setup[0]
+    assert list(bids) == sorted(instance.bids, key=lambda b: b.buyer_id)
+    fresh = instance._layout(list(bids))
+    assert (setup[1], setup[5], setup[6]) == (fresh[1], fresh[5], fresh[6])
+
+
 @settings(max_examples=200, deadline=None)
 @given(exact_instances())
 @example(_instance([5, 0, 3], [(), (), ()], [(), ()]))  # d = 0
@@ -476,15 +486,16 @@ def test_the_bounds_are_at_least_the_optimum_of_the_bids_left(instance):
     # At each depth i, with nothing assigned and the full capacities, both
     # bounds must hold for the bids from i on: suffix[i] >= their optimum,
     # and base + rsum[i] >= their optimum * scale.  A round from ``without``
-    # keeps the dropped bid in place with no choices and its share taken out.
+    # holds only its own bids and keeps its parent's multiplier.
     assume((len(instance.seller_caps) + 1) ** len(instance.bids) <= 1000)
     caps = [cap.units for cap in instance.seller_caps.values()]
     instance._setup  # built first, so each round below derives its setup from it
     rounds = [instance] + [instance.without(b.buyer_id) for b in instance.bids]
     for derived in rounds:
+        assert_laid_out_afresh(derived)
         bids, *_, suffix, base, scale, _margins, rsum = derived._setup
         for i in range(len(bids) + 1):
-            rest = [b for b in bids[i:] if b in derived.bids]
+            rest = bids[i:]
             amounts = [b.amount for b in rest]
             optimum = brute_force_best(amounts, [b.demand.units for b in rest], caps)
             assert suffix[i] >= optimum
@@ -524,13 +535,14 @@ def test_the_pooled_bound_is_at_least_the_optimum_of_the_bids_left(instance):
     layouts = [(instance, instance._setup), (instance, instance._dense_setup())]
     for bid in instance.bids:
         derived = instance.without(bid.buyer_id)
+        assert_laid_out_afresh(derived)
         layouts.append((derived, derived._setup))
     for derived, setup in layouts:
         pooled, _low, margins, _rsum, tests = wdp._pool_bound(derived, setup)
         bids = setup[0]
         states = {(caps, pooled)}  # (each seller's residual, the integer the search carries)
         for i in range(len(bids) + 1):
-            rest = [b for b in bids[i:] if b in derived.bids]
+            rest = bids[i:]
             optima = {}
             for residual, carried in states if tests[i] else ():
                 left = tuple(sum(room[k] for room in residual) for k in range(instance.dimension))
@@ -539,7 +551,7 @@ def test_the_pooled_bound_is_at_least_the_optimum_of_the_bids_left(instance):
                     optima[left] = brute_force_best([b.amount for b in rest], demands, [left])
                 for bound in pooled_bounds(tests, i, carried):
                     assert bound >= optima[left], (i, left)
-            if i == len(bids) or bids[i] not in derived.bids:
+            if i == len(bids):
                 continue
             demand = bids[i].demand.units
             for residual, carried in list(states):
