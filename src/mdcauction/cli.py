@@ -10,7 +10,10 @@ with ``--no-header``.  Exit codes: 0 success, 1 expectation failure,
 ``MAX_EXACT_BUYERS``, a ``compare --seeds`` count past
 ``simlab.MAX_SEEDS`` and a workload past the size caps in
 ``scenario.py``), 3 run aborted (the exact solver's node budget
-ran out, or an internal invariant check failed).
+ran out, or an internal invariant check failed), 4 output failure (a
+result could not be written to stdout or to an ``--out`` file).  Every
+command writes its files before it prints, so a closed stdout loses no
+file.
 """
 
 from __future__ import annotations
@@ -35,12 +38,15 @@ from .wdp import SearchBudgetExceeded
 def _resolve_input(name: str, kind: str) -> object:
     """A path on disk, or the name of a bundled fixture/profile."""
     path = Path(name)
-    if path.exists():
-        return path
     subdir = "fixtures" if kind == "fixture" else "profiles"
-    bundled = resources.files("mdcauction").joinpath(f"data/{subdir}/{name}.json")
-    if bundled.is_file():
-        return bundled
+    try:
+        if path.exists():
+            return path
+        bundled = resources.files("mdcauction").joinpath(f"data/{subdir}/{name}.json")
+        if bundled.is_file():
+            return bundled
+    except OSError as exc:  # a name too long for the file system, say
+        raise ValidationError(name, f"cannot read file: {exc}") from exc
     raise ValidationError(name, f"no such file and no bundled {kind} with that name")
 
 
@@ -68,18 +74,18 @@ def cmd_replay(args) -> int:
     doc = io.load_json(_resolve_input(args.fixture, "fixture"))
     bids, budgets, items = io.parse_fixture(doc)
     result = replay(bids, budgets, items)
-    _emit(io.replay_report_lines(result))
+    lines = io.replay_report_lines(result)
 
     if args.baseline is not None:
         base_doc = io.load_json(_resolve_input(args.baseline, "fixture"))
         base = replay(*io.parse_fixture(base_doc))
         if base.total_utility == 0:
-            print("improvement=n/a (baseline total is 0)")
+            lines.append("improvement=n/a (baseline total is 0)")
         else:
             gain = (
                 (result.total_utility - base.total_utility) / base.total_utility * 100.0
             )
-            print(
+            lines.append(
                 f"improvement={gain:+.2f}% vs baseline total={format_milli(base.total_utility)}"
             )
 
@@ -88,6 +94,7 @@ def cmd_replay(args) -> int:
         io.write_lines(
             args.out, io.result_csv_lines(result, "replay", meta, not args.no_header)
         )
+    _emit(lines)
 
     if args.expect is not None:
         expected = _parse_expect(args.expect)
@@ -122,13 +129,6 @@ def cmd_run(args) -> int:
 
     # The shortest text that reads back as gamma, so no two gammas print alike.
     gamma = repr(mech.gamma).removesuffix(".0")
-    print(f"scenario: {args.scenario}")
-    print(
-        f"mechanism: {args.mechanism} (solver={mech.solver}, pricing={mech.pricing},"
-        f" gamma={gamma}, scope={mech.scope})"
-    )
-    _emit(io.run_report_lines(evaluation.result, evaluation.metrics))
-
     if args.out:
         meta = {
             "scenario": args.scenario,
@@ -145,6 +145,12 @@ def cmd_run(args) -> int:
                 evaluation.result, "run", meta, not args.no_header, evaluation.metrics
             ),
         )
+    print(f"scenario: {args.scenario}")
+    print(
+        f"mechanism: {args.mechanism} (solver={mech.solver}, pricing={mech.pricing},"
+        f" gamma={gamma}, scope={mech.scope})"
+    )
+    _emit(io.run_report_lines(evaluation.result, evaluation.metrics))
     return 0
 
 
@@ -158,8 +164,6 @@ def cmd_compare(args) -> int:
     names = [name.strip() for name in args.mechanisms.split(",") if name.strip()]
     specs = [MechanismSpec(name, config=base_config) for name in names]
     report = compare(params, specs, args.seeds)
-    _emit(io.compare_summary_lines(report))
-
     if args.out:
         meta = {
             "params": args.params,
@@ -169,6 +173,7 @@ def cmd_compare(args) -> int:
             "rng": GENERATOR_NAME,
         }
         io.write_lines(args.out, io.compare_csv_lines(report, meta, not args.no_header))
+    _emit(io.compare_summary_lines(report))
     return 0
 
 
@@ -276,8 +281,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # Every input is read through io.load_json or _resolve_input, which raise
+        # ValidationError, so what fails here is a write: to a file or to stdout.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 4
     except SearchBudgetExceeded as exc:
         print(f"error: run aborted: exact solver {exc}", file=sys.stderr)
         return 3

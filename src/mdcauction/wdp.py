@@ -27,6 +27,13 @@ SWITCH_NODES = 4096
 # The exact searches recurse up to once per buyer, so a round they take on
 # must stay well inside Python's default recursion limit of 1000 frames.
 MAX_EXACT_BUYERS = 500
+# Phases 1 and 2 of ``solve_exact`` take their multipliers from at most
+# SUBGRADIENT_STEPS subgradient steps at the root, as integers over the pooled
+# multiplier's scale times 2**MULTIPLIER_BITS; the step factor halves after
+# every STALL_STEPS steps without a better bound.
+SUBGRADIENT_STEPS = 60
+MULTIPLIER_BITS = 20
+STALL_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,9 @@ class WdpInstance:
         """The exact searches' state for ``bids`` in the order given: ``(bids,
         amounts, guard, rooms, needs, sellers, suffix, base, scale, margins, rsum)``.
 
-        ``sellers`` lists ``(seller index, seller id)`` by ascending seller
-        id, one list for every bid; ``suffix[i]`` is the sum of the amounts
-        from bid i on.
+        ``sellers`` lists the seller ids in ascending order, and a search
+        names a seller by its index there; ``suffix[i]`` is the sum of the
+        amounts from bid i on.
 
         Each seller's residual capacity is one integer with a field of
         B + 1 bits per dimension, where B is the bit length of the largest
@@ -132,11 +139,14 @@ class WdpInstance:
         dimensions ``guard`` is 0 and every demand fits.
 
         ``base``, ``scale``, ``margins`` and ``rsum`` are the Lagrangian
-        bound on one pooled capacity row, scaled to integers.  ``solve_exact``
-        cuts by it; on a round from ``without``, by its parent's multiplier
-        over the bids left: any multiplier >= 0 bounds every feasible
-        assignment of a round, so it bounds the round without any buyer
-        too.  T_k is the sum of the sellers' capacities in dimension k.  Of
+        bound on one pooled capacity row, scaled to integers.  Phase 0 of
+        ``solve_exact`` cuts by it; on a round from ``without``, by its
+        parent's multiplier over the bids left: any multiplier >= 0 bounds
+        every feasible assignment of a round, so it bounds the round without
+        any buyer too.  Phases 1 and 2 cut by one multiplier per seller and
+        dimension instead, which ``_multipliers`` starts from this one (see
+        ``_pool_bound``).  T_k is the sum of the sellers' capacities in
+        dimension k.  Of
         the dimensions whose total demand exceeds T_k, k is the one with the
         largest total demand over T_k (the first on a tie; a zero T_k ranks
         highest).  Walking the bids with a positive demand in k by
@@ -168,30 +178,39 @@ class WdpInstance:
         guard = sum(1 << (shift + width - 1) for shift in shifts)
         rooms = [guard + sum(map(lshift, cap, shifts)) for cap in caps]
         needs = [sum(map(lshift, d, shifts)) for d in demands]
-        sellers = list(enumerate(seller_ids))
         suffix = _tail_sums(amounts)
 
-        zeros = [0] * self.dimension
-        totals = [sum(column) for column in zip(*caps)] or zeros
-        demanded = [sum(column) for column in zip(*demands)] or zeros
-        k = None
-        for j, (total, demand) in enumerate(zip(totals, demanded)):
-            if demand > total and (k is None or demand * totals[k] > demanded[k] * total):
-                k = j
+        totals = [sum(column) for column in zip(*caps)] or [0] * self.dimension
         base = scale = 0
         margins, rsum = [0] * n, [0] * (n + 1)
-        if k is not None:
-            dense = [(amounts[i], d[k], i) for i, d in enumerate(demands) if d[k]]
-            _by_density(dense)
-            left = totals[k]
-            for price, scale, _i in dense:
-                left -= scale
-                if left < 0:
-                    break
+        multiplier = _pooled_multiplier(amounts, demands, totals)
+        if multiplier:
+            k, price, scale = multiplier
             base = price * totals[k]
             margins = [a * scale - price * d[k] for a, d in zip(amounts, demands)]
             rsum = _tail_sums([m if m > 0 else 0 for m in margins])
-        return bids, amounts, guard, rooms, needs, sellers, suffix, base, scale, margins, rsum
+        return bids, amounts, guard, rooms, needs, seller_ids, suffix, base, scale, margins, rsum
+
+
+def _pooled_multiplier(amounts: list[int], demands: list, totals: list[int]):
+    """``(k, price, scale)``, the one pooled multiplier price / scale on dimension k
+    described in ``WdpInstance._layout``, or None when every dimension's
+    demand fits its total."""
+    demanded = [sum(column) for column in zip(*demands)] or [0] * len(totals)
+    k = None
+    for j, (total, demand) in enumerate(zip(totals, demanded)):
+        if demand > total and (k is None or demand * totals[k] > demanded[k] * total):
+            k = j
+    if k is None:
+        return None
+    dense = [(amounts[i], d[k], i) for i, d in enumerate(demands) if d[k]]
+    _by_density(dense)
+    left = totals[k]
+    for price, scale, _i in dense:
+        left -= scale
+        if left < 0:
+            break
+    return k, price, scale
 
 
 def _tail_sums(values: list[int]) -> list[int]:
@@ -252,17 +271,29 @@ def solve_exact(
     returns.  Residual capacities are packed integers, so a fit test is
     one subtraction and one mask (see ``WdpInstance._layout``).
 
-    Phases 1 and 2 below add a third bound, recomputed at the node
-    (``_pool_bound``): for each dimension k whose demand from depth i
-    on exceeds T_k, the sellers' total capacity in k, the
-    fractional-knapsack (Dantzig) bound of the bids from i on in R_k.
-    It sees what the root-fixed multiplier misses, how much of the
-    pooled residual the assignments so far have used.  Its residuals
-    ride in the low bits of ``reduced``, still one addition per
-    assignment, and it is tested once per recursive call (at the root
-    and at each node entered by an assignment), one ``bisect_right``
-    per dimension it tests.  It is admissible, so it changes which
-    nodes are expanded but never which leaves improve the incumbent.
+    Phases 1 and 2 below cut by stronger bounds (``_pool_bound``).  The
+    Lagrangian bound there relaxes every seller's capacity row with its
+    own multipliers lambda_jk, found at the root by ``_multipliers``:
+    every leaf below a node is worth at most sum_jk lambda_jk R_jk plus
+    v plus the sum over i' >= i of max(0, max_j (a_i' - sum_k lambda_jk
+    d_i'k)), with R_jk seller j's residual in k.  Phase 0's multiplier
+    on every seller is one such lambda, and the best lambda gives the
+    bound of the linear relaxation at the root (Geoffrion, "Lagrangean
+    relaxation for integer programming", Math. Programming Study 2,
+    1974).  The third bound, recomputed at the node, is for each
+    dimension k whose demand from depth i on exceeds T_k, the sellers'
+    total capacity in k, the fractional-knapsack (Dantzig) bound of the
+    bids from i on in R_k, the sellers' pooled residual.  It sees what
+    the root-fixed multipliers miss, how much of the pooled residual the
+    assignments so far have used.  Its residuals ride in the low bits of
+    ``reduced``, still one addition per assignment, and it is tested
+    once per recursive call (at the root and at each node entered by an
+    assignment), one ``bisect_right`` per dimension it tests.  Every
+    leaf is worth a multiple of g, the gcd of the amounts, so these
+    phases cut a node whose bounds fall below the next multiple of g
+    above the incumbent, not the incumbent plus one.  The bounds are
+    admissible, so they change which nodes are expanded but never which
+    leaves improve the incumbent.
 
     Buyer id order is a poor branch order for a knapsack, so the nodes
     of ``node_budget`` are spent in up to three phases:
@@ -280,6 +311,9 @@ def solve_exact(
        OPT - 1, stopped at its first leaf.  No cut removes the path to
        the first leaf worth OPT, so that leaf is the one phase 0 would
        have returned with nodes enough to finish.
+
+    Phases 1 and 2 cut by the same multipliers, found on phase 1's
+    layout with v0 as the steps' target; finding them expands no node.
 
     ``floor`` must be below the optimum; a caller that knows a feasible
     assignment worth v passes v - 1, which prunes from the first node
@@ -303,11 +337,13 @@ def solve_exact(
             floor = found[0].objective
         try:
             dense = instance._dense_setup()
-            proof, spent = _search(dense, left, floor, pool=_pool_bound(instance, dense))
+            multipliers = _multipliers(instance, dense, floor)
+            pool = _pool_bound(instance, dense, multipliers)
+            proof, spent = _search(dense, left, floor, pool=pool)
             if proof.objective == floor:
                 return WdpSolution(found[0].assignment, floor, True)
             found.append(WdpSolution(proof.assignment, proof.objective, False))
-            pool = _pool_bound(instance, setup)
+            pool = _pool_bound(instance, setup, multipliers)
             return _search(setup, left - spent, proof.objective - 1, True, pool)[0]
         except SearchBudgetExceeded as exc:
             found.append(exc.best)
@@ -337,40 +373,58 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
     makes one call for the root and one per assignment that passes, not
     one per node, and recurses only as deep as the buyers it assigns.
 
-    ``pool``, from ``_pool_bound(instance, setup)``, adds the
-    node-local pooled bound.  It is tested once per call, at one shift,
-    one mask and one ``bisect_right`` per dimension listed for the
-    call's depth, and costs nothing more per assignment.  It replaces
-    the setup's ``margins`` and ``rsum`` with ones shifted up by ``low``
-    bits, and ``bar`` is shifted the same way; below them ``reduced``
-    carries the pooled residuals R_k, starting from ``pooled`` (see
-    ``_pool_bound``).  Without ``pool``, ``low`` is 0 and no dimension
-    is tested: that is phase 0's search.
+    ``pool``, from ``_pool_bound(instance, setup, multipliers)``, holds
+    the bounds of phases 1 and 2.  It replaces the setup's ``base``,
+    ``scale``, ``margins`` and ``rsum`` with the per-seller Lagrangian
+    bound, its margins and sums shifted up by ``low`` bits, and ``bar``
+    is shifted the same way; below them ``reduced`` carries the pooled
+    residuals R_k, starting from ``pooled``.  ``margins[i]`` is bid i's
+    margin at its best seller, so the parent's loop cuts by that, at no
+    cost per node beyond phase 0's.  With ``pool`` each call then does
+    two things.  Entered by assigning bid i - 1 to the seller at index j,
+    it subtracts ``slacks[i - 1][j]``, the best margin less the margin at
+    that seller, and is cut if the sum falls below ``bar``.  And it tests
+    the pooled bound, at one shift, one mask and one ``bisect_right``
+    per dimension listed for its depth.  Every cut compares with
+    ``target``, the next multiple of ``gcd`` above the incumbent.
+    Without ``pool``, ``gcd`` is 1, ``low`` is 0 and a call does neither:
+    that is phase 0's search.
     """
     bids, amounts, guard, rooms, needs, sellers, suffix, base, scale, margins, rsum = setup
     rooms = list(rooms)
     n = len(amounts)
-    pooled, low, margins, rsum, tests = pool or (0, 0, margins, rsum, [()] * (n + 1))
+    indices = list(range(len(sellers)))
+    gcd, pooled, low, slacks, tests = 1, 0, 0, None, None
+    if pool:
+        base, scale, gcd, pooled, low, margins, rsum, slacks, tests = pool
+    # Every leaf is worth a multiple of gcd; one that beats the incumbent is worth target or more.
+    target = (best_value // gcd + 1) * gcd
     # A node is cut when its reduced + rsum[i] falls below bar; with no multiplier bar is 0.
-    bar = (best_value + 1) * scale - base << low
-    # picked[i] is buyer i's seller on the path searched (None: unassigned), and best
-    # is picked as it was at the incumbent's leaf.
+    bar = target * scale - base << low
+    # picked[i] is the index in ``sellers`` of buyer i's seller on the path searched
+    # (None: unassigned), and best is picked as it was at the incumbent's leaf.
     picked, best = [None] * n, [None] * n
     nodes = 1
 
     def incumbent(optimal: bool) -> WdpSolution:
         # A search cut short with no pairs reports 0, not the value it started from.
-        pairs = Assignment([(b.buyer_id, s) for b, s in zip(bids, best) if s is not None])
+        pairs = Assignment([(b.buyer_id, sellers[j]) for b, j in zip(bids, best) if j is not None])
         return WdpSolution(pairs, best_value if pairs or optimal else 0, optimal)
 
     def descend(i: int, value: int, reduced: int) -> None:
         # The node was counted and passed both cuts before the call.
-        nonlocal best_value, best, bar, nodes
-        for shift, mask, weights, rows in tests[i]:
-            left = reduced >> shift & mask
-            before, used, amount, demand = rows[bisect_right(weights, left)]
-            if value + before + amount * (left - used) // demand <= best_value:
-                return
+        nonlocal best_value, best, target, bar, nodes
+        if pool:
+            if i:
+                # The parent cut by bid i - 1's best seller; correct to the one it took.
+                reduced -= slacks[i - 1][picked[i - 1]]
+                if reduced + rsum[i] < bar:
+                    return
+            for shift, mask, weights, rows in tests[i]:
+                left = reduced >> shift & mask
+                before, used, amount, demand = rows[bisect_right(weights, left)]
+                if value + before + amount * (left - used) // demand < target:
+                    return
         while i < n:
             need = needs[i]
             taken = value + amounts[i]
@@ -378,43 +432,141 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
             i += 1
             reach = taken + suffix[i]
             reach_reduced = reduced_taken + rsum[i]
-            for j, seller in sellers:
+            for j in indices:
                 room = rooms[j]
                 left = room - need
                 if left & guard == guard:
                     nodes += 1
                     if nodes > node_budget:
                         raise SearchBudgetExceeded(node_budget, incumbent(False))
-                    if reach > best_value and reach_reduced >= bar:
+                    if reach >= target and reach_reduced >= bar:
                         rooms[j] = left
-                        picked[i - 1] = seller
+                        picked[i - 1] = j
                         descend(i, taken, reduced_taken)
                         picked[i - 1] = None
                         rooms[j] = room
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetExceeded(node_budget, incumbent(False))
-            if value + suffix[i] <= best_value or reduced + rsum[i] < bar:
+            if value + suffix[i] < target or reduced + rsum[i] < bar:
                 return
         # A leaf past the suffix cut is worth more than the incumbent.
         best_value = value
         best = picked.copy()
-        bar = (value + 1) * scale - base << low
+        target = value + gcd
+        bar = target * scale - base << low
         if stop:
             raise _Stop
 
     if node_budget < 1:
         raise SearchBudgetExceeded(node_budget, incumbent(False))
     try:
-        if suffix[0] > best_value and pooled + rsum[0] >= bar:
+        if suffix[0] >= target and pooled + rsum[0] >= bar:
             descend(0, 0, pooled)
     except _Stop:
         pass
     return incumbent(True), nodes
 
 
-def _pool_bound(instance: WdpInstance, setup):
-    """``(pooled, low, margins, rsum, tests)``: the node-local pooled bound on ``setup``.
+def _multipliers(instance: WdpInstance, setup, floor: int):
+    """``(scale, lam)``: the multiplier of seller j's capacity in dimension k
+    is ``lam[j][k] / scale``, the sellers by ascending id.
+
+    Found by at most ``SUBGRADIENT_STEPS`` steps of subgradient
+    optimization of the Lagrangian bound of ``solve_exact``'s phases 1
+    and 2 at the root (Held, Wolfe & Crowder, "Validation of subgradient
+    optimization", Math. Programming 6, 1974), over the bids of
+    ``setup``.  The steps
+    start from the one pooled multiplier of ``WdpInstance._layout`` on
+    every seller, and ``scale`` is that multiplier's scale times
+    2**``MULTIPLIER_BITS`` (or 2**``MULTIPLIER_BITS`` with none), so the
+    start is exact.  The bound is evaluated in exact integers at every
+    step and the best lam seen is returned, so the root bound is never
+    weaker than the pooled one.  Floats only size the steps: any lam >= 0
+    gives an admissible bound.  A step moves lam_jk against seller j's
+    slack in k, C_jk less the demand of the bids whose best margin is at
+    j, by the Polyak step toward the next multiple of the bids' gcd above
+    ``floor``; the factor theta starts at 2 and halves after every
+    ``STALL_STEPS`` steps without a better bound.  The steps stop early
+    once the bound proves that no assignment beats ``floor``, or once
+    half of ``SUBGRADIENT_STEPS`` have passed without a better bound.
+    """
+    bids, amounts, _guard, _rooms, _needs, sellers = setup[:6]
+    dim = instance.dimension
+    demands = [bid.demand.units for bid in bids]
+    caps = [instance.seller_caps[s].units for s in sellers]
+    totals = [sum(column) for column in zip(*caps)] or [0] * dim
+    k, price, scale = _pooled_multiplier(amounts, demands, totals) or (None, 0, 1)
+    scale <<= MULTIPLIER_BITS
+    lam = [[0] * dim for _ in caps]
+    if k is not None:
+        for row in lam:
+            row[k] = price << MULTIPLIER_BITS
+    columns = list(zip(*demands)) or [()] * dim
+    values = [a * scale for a in amounts]
+    # Past the largest a * scale no bid demanding k has a positive margin at j, so a
+    # larger lam_jk only adds to the bound; the cap keeps every step a finite float.
+    ceiling = max(values, default=0)
+    gcd = math.gcd(*amounts) or 1
+    goal = (floor // gcd + 1) * gcd * scale
+    best = best_lam = None
+    theta, stalled = 2.0, 0
+    for _ in range(SUBGRADIENT_STEPS):
+        rows = []
+        for row in lam:
+            margin = values
+            for weight, column in zip(row, columns):
+                if weight:
+                    margin = [m - weight * d for m, d in zip(margin, column)]
+            rows.append(margin)
+        bound = sum(w * c for row, cap in zip(lam, caps) for w, c in zip(row, cap))
+        picks = [[] for _ in caps]
+        for i, margin in enumerate(zip(*rows)):
+            top = max(margin)
+            if top > 0:
+                bound += top
+                picks[margin.index(top)].append(i)
+        if best is None or bound < best:
+            best, best_lam, stalled = bound, lam, 0
+        else:
+            stalled += 1
+            if stalled % STALL_STEPS == 0:
+                theta /= 2
+        if best < goal or stalled == SUBGRADIENT_STEPS // 2:
+            break
+        # The subgradient, less what the projection onto lam >= 0 would undo.
+        gradient = [
+            [c - sum(map(column.__getitem__, chosen)) for c, column in zip(cap, columns)]
+            for cap, chosen in zip(caps, picks)
+        ]
+        gradient = [
+            [g if w or g < 0 else 0 for w, g in zip(row, gs)] for row, gs in zip(lam, gradient)
+        ]
+        norm = sum(g * g for gs in gradient for g in gs)
+        if not norm:
+            break
+        step = theta * (bound - goal) / norm
+        lam = [
+            [min(ceiling, max(0, w - round(step * g))) for w, g in zip(row, gs)]
+            for row, gs in zip(lam, gradient)
+        ]
+    return scale, best_lam
+
+
+def _pool_bound(instance: WdpInstance, setup, multipliers):
+    """``(base, scale, gcd, pooled, low, margins, rsum, slacks, tests)``:
+    the bounds of ``solve_exact``'s phases 1 and 2 on ``setup``.
+
+    ``multipliers`` is ``(scale, lam)``, one integer ``lam[j][k] >= 0``
+    for each seller j, by ascending id, and dimension k, as
+    ``_multipliers`` returns; any such lam gives admissible bounds.  C_jk
+    is seller j's capacity in k.  ``base`` is the sum of lam_jk * C_jk,
+    bid i's margin at seller j is m_ij = a_i * scale - sum_k lam_jk *
+    d_ik, and ``rsum[i]`` sums max(0, max_j m_ij) over the bids from i
+    on, shifted up by ``low`` bits.  ``margins[i]`` is max_j m_ij shifted
+    the same way, less bid i's demand packed into the fields described
+    below, and ``slacks[i][j]`` is max_j' m_ij' - m_ij, shifted up by
+    ``low``.  ``gcd`` is the gcd of the amounts (1 if all are 0).
 
     T_k is the sellers' total capacity in dimension k, and R_k what the
     assignments above a node leave of it.  Every leaf below a node at
@@ -427,14 +579,12 @@ def _pool_bound(instance: WdpInstance, setup):
     The R_k of the kept dimensions are fields of one integer, each
     ``width`` bits wide, the bit length of the largest kept T_k:
     ``pooled`` packs the T_k, and ``low`` is the fields' total width.
-    ``margins[i]`` is the setup's margin shifted up by ``low`` less bid
-    i's demand packed the same way, and ``rsum`` is the setup's shifted
-    up by ``low``.  So ``reduced``, started at ``pooled``, carries the
-    Lagrangian sum above the fields and the R_k in them at one addition
-    per assignment.  An assignment always fits its seller, so no R_k
-    goes below 0 and no field borrows: no guard bits are needed.  The
-    fields hold less than ``1 << low``, so ``reduced + rsum[i] >= bar``
-    exactly when the unshifted sum reaches the unshifted bar.
+    So ``reduced``, started at ``pooled``, carries the Lagrangian sum
+    above the fields and the R_k in them at one addition per assignment.
+    An assignment always fits its seller, so no R_k goes below 0 and no
+    field borrows: no guard bits are needed.  The fields hold less than
+    ``1 << low``, so ``reduced + rsum[i] >= bar`` exactly when the
+    unshifted sum reaches the unshifted bar.
 
     ``tests[i]`` lists ``(shift, mask, weights, rows)`` for each kept k
     whose demand from bid i on exceeds T_k; the others are not tested
@@ -446,13 +596,14 @@ def _pool_bound(instance: WdpInstance, setup):
     and the bound is V_t + floor(a_t * (R_k - W_t) / d_t), in exact
     integers.
     """
-    bids, amounts, _guard, _rooms, _needs, _sellers, _suffix, _base, _scale, margins, rsum = setup
+    bids, amounts, _guard, _rooms, _needs, sellers, *_ = setup
+    scale, lam = multipliers
     n = len(bids)
-    caps = instance.seller_caps.values()
+    caps = [instance.seller_caps[s].units for s in sellers]
     demands = [bid.demand.units for bid in bids]
     kept = []
     for k in range(instance.dimension):
-        total = sum(cap.units[k] for cap in caps)
+        total = sum(cap[k] for cap in caps)
         ahead = _tail_sums([d[k] for d in demands])
         if ahead[0] > total:
             kept.append((k, total, ahead))
@@ -461,11 +612,17 @@ def _pool_bound(instance: WdpInstance, setup):
     low = width * len(kept)
     shifts = [f * width for f in range(len(kept))]
     pooled = sum(total << shift for (_k, total, _ahead), shift in zip(kept, shifts))
+
+    base = sum(w * c for row, cap in zip(lam, caps) for w, c in zip(row, cap))
+    rows = [[a * scale - sum(map(mul, row, d)) for row in lam] for a, d in zip(amounts, demands)]
+    tops = [max(row, default=0) for row in rows]
     margins = [
-        (margin << low) - sum(demand[k] << shift for (k, _t, _a), shift in zip(kept, shifts))
-        for margin, demand in zip(margins, demands)
+        (top << low) - sum(demand[k] << shift for (k, _t, _a), shift in zip(kept, shifts))
+        for top, demand in zip(tops, demands)
     ]
-    rsum = [total << low for total in rsum]
+    rsum = [total << low for total in _tail_sums([t if t > 0 else 0 for t in tops])]
+    slacks = [[top - margin << low for margin in row] for top, row in zip(tops, rows)]
+
     tests = [[] for _ in range(n + 1)]
     for (k, total, ahead), shift in zip(kept, shifts):
         dense = [(amounts[i], demands[i][k], i) for i in range(n) if demands[i][k]]
@@ -485,7 +642,8 @@ def _pool_bound(instance: WdpInstance, setup):
                     if weight > total:
                         break
             tests[i].append((shift, mask, weights, rows))
-    return pooled, low, margins, rsum, tests
+    gcd = math.gcd(*amounts) or 1
+    return base, scale, gcd, pooled, low, margins, rsum, slacks, tests
 
 
 def _scale(instance: WdpInstance) -> tuple[int, list[int]]:

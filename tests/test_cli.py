@@ -704,3 +704,68 @@ class TestMalformedInputExits2:
         path = tmp_path / "input.json"
         path.write_bytes(content)
         assert self.run_cli(command, str(path)) == f"error: {path}: {message}\n"
+
+
+class TestOutputFailureExits4:
+    """A failed write exits 4, not 2 (bad input), and files are written before stdout.
+
+    ``compare default --seeds 3 --out x.csv | head -1`` once printed
+    ``error: [Errno 32] Broken pipe``, exited 2 and wrote no ``x.csv``.
+    """
+
+    COMMANDS = {
+        "replay": ["replay", "table1", "--no-header"],
+        "run": ["run", "{scenario}", "--no-header"],
+        "compare": ["compare", "default", "--seeds", "3", "--no-header"],
+    }
+
+    @staticmethod
+    def run_closed(args):
+        """Run the CLI in a child whose stdout is a pipe nobody reads: every write to it fails."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "mdcauction", *args],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+            )
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_closed_stdout_exits_4_after_the_file_is_written(
+        self, tmp_path, table1_path, capsys, command
+    ):
+        args = [a.format(scenario=table1_path) for a in self.COMMANDS[command]]
+        expected = tmp_path / "expected.csv"
+        assert main([*args, "--out", str(expected)]) == 0
+        printed = capsys.readouterr().out
+        assert printed
+        out = tmp_path / "x.csv"
+        done = self.run_closed([*args, "--out", str(out)])
+        assert done.returncode == 4, done.stderr
+        assert done.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+        assert out.read_text() == expected.read_text()
+
+    def test_gen_to_a_closed_stdout_exits_4(self):
+        done = self.run_closed(["gen", "default"])
+        assert done.returncode == 4, done.stderr
+        assert done.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("command", [*sorted(COMMANDS), "gen"])
+    def test_an_unwritable_out_file_exits_4_before_printing(
+        self, tmp_path, table1_path, capsys, command
+    ):
+        command_args = self.COMMANDS.get(command, ["gen", "default"])
+        args = [a.format(scenario=table1_path) for a in command_args]
+        assert main([*args, "--out", str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: [Errno 21] Is a directory:")
+
+    @pytest.mark.parametrize("length", [252, 5000])
+    def test_a_name_too_long_to_read_is_still_bad_input(self, capsys, length):
+        # 252 characters pass as a file name but not as a bundled profile's.
+        assert main(["compare", "x" * length]) == 2
+        assert "cannot read file" in capsys.readouterr().err
