@@ -66,6 +66,13 @@ def _mechanism_override(config, args):
     return replace(config, **updates) if updates else config
 
 
+def _settings(mech) -> dict[str, str]:
+    """The mechanism settings an output names; gamma as the shortest text that
+    reads back as it, so no two gammas print alike."""
+    gamma = repr(mech.gamma).removesuffix(".0")
+    return {"solver": mech.solver, "pricing": mech.pricing, "gamma": gamma, "scope": mech.scope}
+
+
 def _emit(lines: list[str]) -> None:
     print("\n".join(lines))
 
@@ -127,15 +134,14 @@ def cmd_run(args) -> int:
         raise ValidationError("--seed", "scenario has explicit bids; a seed cannot apply")
     evaluation = evaluate(scenario, args.mechanism, mech)
 
-    # The shortest text that reads back as gamma, so no two gammas print alike.
-    gamma = repr(mech.gamma).removesuffix(".0")
+    settings = _settings(mech)
     if args.out:
         meta = {
             "scenario": args.scenario,
             "mechanism": args.mechanism,
-            "solver": mech.solver,
-            "pricing": mech.pricing,
-            "gamma": gamma,
+            "solver": settings["solver"],
+            "pricing": settings["pricing"],
+            "gamma": settings["gamma"],
             "seed": str(scenario.generator.seed) if scenario.generator else "-",
             "rng": GENERATOR_NAME if scenario.generator else "-",
         }
@@ -146,10 +152,7 @@ def cmd_run(args) -> int:
             ),
         )
     print(f"scenario: {args.scenario}")
-    print(
-        f"mechanism: {args.mechanism} (solver={mech.solver}, pricing={mech.pricing},"
-        f" gamma={gamma}, scope={mech.scope})"
-    )
+    print(f"mechanism: {args.mechanism} ({', '.join(f'{k}={v}' for k, v in settings.items())})")
     _emit(io.run_report_lines(evaluation.result, evaluation.metrics))
     return 0
 
@@ -164,6 +167,7 @@ def cmd_compare(args) -> int:
     names = [name.strip() for name in args.mechanisms.split(",") if name.strip()]
     specs = [MechanismSpec(name, config=base_config) for name in names]
     report = compare(params, specs, args.seeds)
+    settings = _settings(base_config)
     if args.out:
         meta = {
             "params": args.params,
@@ -171,9 +175,10 @@ def cmd_compare(args) -> int:
             "mechanisms": ";".join(names),
             "base_seed": str(params.seed),
             "rng": GENERATOR_NAME,
+            **settings,
         }
         io.write_lines(args.out, io.compare_csv_lines(report, meta, not args.no_header))
-    _emit(io.compare_summary_lines(report))
+    _emit(io.compare_summary_lines(report, settings))
     return 0
 
 

@@ -427,10 +427,12 @@ def _pct(value: float) -> str:
     return f"{value:+.2f}%"
 
 
-def compare_summary_lines(report: ComparisonReport) -> list[str]:
+def compare_summary_lines(report: ComparisonReport, settings: dict[str, str]) -> list[str]:
+    """The summary of ``compare``; its first line ends with the mechanism ``settings``."""
+    named = "".join(f" {k}={v}" for k, v in settings.items())
     lines = [
         f"seeds={len(report.seeds)} rng={GENERATOR_NAME} base_seed={report.params.seed}"
-        f" bootstrap_resamples={report.bootstrap_resamples}"
+        f" bootstrap_resamples={report.bootstrap_resamples}{named}"
     ]
     for stat in report.stats:
         lines.append(

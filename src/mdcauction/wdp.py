@@ -34,6 +34,9 @@ MAX_EXACT_BUYERS = 500
 SUBGRADIENT_STEPS = 60
 MULTIPLIER_BITS = 20
 STALL_STEPS = 5
+# Phases 1 and 2 of ``solve_exact`` remember at most RESIDUAL_STATES searched
+# states a search.
+RESIDUAL_STATES = 8192
 
 
 @dataclass(frozen=True)
@@ -315,6 +318,25 @@ def solve_exact(
     Phases 1 and 2 cut by the same multipliers, found on phase 1's
     layout with v0 as the steps' target; finding them expands no node.
 
+    Phases 1 and 2 also skip states they have searched, by a dominance
+    rule (Ibaraki, "The power of dominance relations in branch-and-bound
+    algorithms", J. ACM 24(2), 1977).  A node's state is its depth and
+    every seller's residual capacity, and each bound is the node's value
+    plus a function of its state alone: the suffix sum, the pooled
+    residuals' Dantzig bound, and the per-seller Lagrangian bound, whose
+    ``reduced`` is v * scale less sum_jk lambda_jk times what the
+    assignments above used of C_jk.  A search records, for up to
+    ``RESIDUAL_STATES`` states, the largest value with which a node
+    entered by an assignment searched that state to the end; a later
+    such node in the same state whose value is not above it returns at
+    once.  Every leaf below it is worth no more than the leaf below the
+    recorded node that assigns the same bids, and that leaf was either
+    cut against an incumbent no higher than today's or reached, and then
+    made the incumbent, so none of them beats the incumbent.  The
+    incumbent only rises, so each phase meets the same improving leaves
+    in the same order, in no more nodes, and a phase cut short by its
+    node budget has got at least as far.
+
     ``floor`` must be below the optimum; a caller that knows a feasible
     assignment worth v passes v - 1, which prunes from the first node
     and returns the same optimum.
@@ -378,25 +400,36 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
     ``scale``, ``margins`` and ``rsum`` with the per-seller Lagrangian
     bound, its margins and sums shifted up by ``low`` bits, and ``bar``
     is shifted the same way; below them ``reduced`` carries the pooled
-    residuals R_k, starting from ``pooled``.  ``margins[i]`` is bid i's
-    margin at its best seller, so the parent's loop cuts by that, at no
-    cost per node beyond phase 0's.  With ``pool`` each call then does
-    two things.  Entered by assigning bid i - 1 to the seller at index j,
-    it subtracts ``slacks[i - 1][j]``, the best margin less the margin at
-    that seller, and is cut if the sum falls below ``bar``.  And it tests
-    the pooled bound, at one shift, one mask and one ``bisect_right``
-    per dimension listed for its depth.  Every cut compares with
-    ``target``, the next multiple of ``gcd`` above the incumbent.
-    Without ``pool``, ``gcd`` is 1, ``low`` is 0 and a call does neither:
-    that is phase 0's search.
+    residuals R_k and every seller's residual capacity, starting from
+    ``start``.  ``margins[i]`` is bid i's margin at its best seller, so
+    the parent's loop cuts by that, at no cost per node beyond phase
+    0's.  With ``pool`` each call then does three things.  Entered by
+    assigning bid i - 1 to the seller at index j, it subtracts
+    ``slacks[i - 1][j]``, the best margin less the margin at that seller
+    and the bid's demand in that seller's field, and is cut if the sum
+    falls below ``bar``.  It tests the pooled bound, at one shift, one
+    mask and one ``bisect_right`` per dimension listed for its depth.
+    Every cut compares with ``target``, the next multiple of ``gcd``
+    above the incumbent.  And, entered by an assignment and past those
+    cuts, it looks up its state, the low ``low`` bits of ``reduced``
+    with its depth, in ``seen``: it returns if the value recorded there
+    is at least its own, and otherwise records its value (a new state
+    only while ``seen`` holds fewer than ``RESIDUAL_STATES``).  Recording
+    on entry is recording at the end: every node below a call is deeper,
+    so no other call in its state is reached before it returns, and a
+    search that stops or runs out reads ``seen`` no more.  ``seen`` is
+    emptied when the search returns or raises (see ``solve_exact`` for
+    why a skipped state holds no better leaf).  Without ``pool``,
+    ``gcd`` is 1, ``low`` is 0 and a call does none of this: that is
+    phase 0's search.
     """
     bids, amounts, guard, rooms, needs, sellers, suffix, base, scale, margins, rsum = setup
     rooms = list(rooms)
     n = len(amounts)
     indices = list(range(len(sellers)))
-    gcd, pooled, low, slacks, tests = 1, 0, 0, None, None
+    gcd, start, low, slacks, tests = 1, 0, 0, None, None
     if pool:
-        base, scale, gcd, pooled, low, margins, rsum, slacks, tests = pool
+        base, scale, gcd, start, low, margins, rsum, slacks, tests = pool
     # Every leaf is worth a multiple of gcd; one that beats the incumbent is worth target or more.
     target = (best_value // gcd + 1) * gcd
     # A node is cut when its reduced + rsum[i] falls below bar; with no multiplier bar is 0.
@@ -405,6 +438,11 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
     # (None: unassigned), and best is picked as it was at the incumbent's leaf.
     picked, best = [None] * n, [None] * n
     nodes = 1
+    # With ``pool``: a state, its depth above the residual fields that are the low
+    # bits of ``reduced`` -> the largest value with which a call entered by an
+    # assignment has searched it.
+    fields = (1 << low) - 1
+    seen = {}
 
     def incumbent(optimal: bool) -> WdpSolution:
         # A search cut short with no pairs reports 0, not the value it started from.
@@ -414,7 +452,9 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
     def descend(i: int, value: int, reduced: int) -> None:
         # The node was counted and passed both cuts before the call.
         nonlocal best_value, best, target, bar, nodes
-        if pool:
+        # ``tests`` is None without ``pool``; testing it rather than ``pool`` keeps
+        # ``pool`` out of this closure, whose free variables each call copies.
+        if tests:
             if i:
                 # The parent cut by bid i - 1's best seller; correct to the one it took.
                 reduced -= slacks[i - 1][picked[i - 1]]
@@ -425,6 +465,14 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
                 before, used, amount, demand = rows[bisect_right(weights, left)]
                 if value + before + amount * (left - used) // demand < target:
                     return
+            if i:
+                # No leaf below a state searched at a value >= this one beats the incumbent.
+                state = reduced & fields | i << low
+                known = seen.get(state, -1)
+                if value <= known:
+                    return
+                if known >= 0 or len(seen) < RESIDUAL_STATES:
+                    seen[state] = value
         while i < n:
             need = needs[i]
             taken = value + amounts[i]
@@ -461,10 +509,14 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
     if node_budget < 1:
         raise SearchBudgetExceeded(node_budget, incumbent(False))
     try:
-        if suffix[0] >= target and pooled + rsum[0] >= bar:
-            descend(0, 0, pooled)
+        if suffix[0] >= target and start + rsum[0] >= bar:
+            descend(0, 0, start)
     except _Stop:
         pass
+    finally:
+        # ``descend`` refers to itself, so this closure is a cycle that only the
+        # collector frees; the table goes now.
+        seen.clear()
     return incumbent(True), nodes
 
 
@@ -564,9 +616,10 @@ def _pool_bound(instance: WdpInstance, setup, multipliers):
     bid i's margin at seller j is m_ij = a_i * scale - sum_k lam_jk *
     d_ik, and ``rsum[i]`` sums max(0, max_j m_ij) over the bids from i
     on, shifted up by ``low`` bits.  ``margins[i]`` is max_j m_ij shifted
-    the same way, less bid i's demand packed into the fields described
-    below, and ``slacks[i][j]`` is max_j' m_ij' - m_ij, shifted up by
-    ``low``.  ``gcd`` is the gcd of the amounts (1 if all are 0).
+    the same way, less bid i's demand packed into the pooled fields
+    described below, and ``slacks[i][j]`` is max_j' m_ij' - m_ij, shifted
+    up by ``low``, plus bid i's demand packed into seller j's field.
+    ``gcd`` is the gcd of the amounts (1 if all are 0).
 
     T_k is the sellers' total capacity in dimension k, and R_k what the
     assignments above a node leave of it.  Every leaf below a node at
@@ -577,14 +630,17 @@ def _pool_bound(instance: WdpInstance, setup, multipliers):
     whose demand exceeds T_k are kept.
 
     The R_k of the kept dimensions are fields of one integer, each
-    ``width`` bits wide, the bit length of the largest kept T_k:
-    ``pooled`` packs the T_k, and ``low`` is the fields' total width.
-    So ``reduced``, started at ``pooled``, carries the Lagrangian sum
-    above the fields and the R_k in them at one addition per assignment.
-    An assignment always fits its seller, so no R_k goes below 0 and no
-    field borrows: no guard bits are needed.  The fields hold less than
-    ``1 << low``, so ``reduced + rsum[i] >= bar`` exactly when the
-    unshifted sum reaches the unshifted bar.
+    ``width`` bits wide, the bit length of the largest kept T_k.  Below
+    them, seller j's residual capacity, packed as in ``rooms``, sits at
+    bit j * S, with S the bit length of ``guard``.  ``start`` packs the
+    capacities and the T_k, and ``low`` is the fields' total width.  So
+    ``reduced``, started at ``start``, carries the Lagrangian sum above
+    the fields and the residuals in them at one addition per assignment.
+    An assignment always fits its seller, so no R_k goes below 0 and a
+    seller's field keeps its guard bits: no field borrows.  The fields
+    hold less than ``1 << low``, so ``reduced + rsum[i] >= bar`` exactly
+    when the unshifted sum reaches the unshifted bar, and they are the
+    state that ``_search`` remembers.
 
     ``tests[i]`` lists ``(shift, mask, weights, rows)`` for each kept k
     whose demand from bid i on exceeds T_k; the others are not tested
@@ -596,7 +652,7 @@ def _pool_bound(instance: WdpInstance, setup, multipliers):
     and the bound is V_t + floor(a_t * (R_k - W_t) / d_t), in exact
     integers.
     """
-    bids, amounts, _guard, _rooms, _needs, sellers, *_ = setup
+    bids, amounts, guard, rooms, needs, sellers, *_ = setup
     scale, lam = multipliers
     n = len(bids)
     caps = [instance.seller_caps[s].units for s in sellers]
@@ -607,11 +663,15 @@ def _pool_bound(instance: WdpInstance, setup, multipliers):
         ahead = _tail_sums([d[k] for d in demands])
         if ahead[0] > total:
             kept.append((k, total, ahead))
+    seat = guard.bit_length()
+    seats = [j * seat for j in range(len(sellers))]
+    below = seat * len(sellers)
     width = max((total for _k, total, _ahead in kept), default=0).bit_length()
     mask = (1 << width) - 1
-    low = width * len(kept)
-    shifts = [f * width for f in range(len(kept))]
-    pooled = sum(total << shift for (_k, total, _ahead), shift in zip(kept, shifts))
+    low = below + width * len(kept)
+    shifts = [below + f * width for f in range(len(kept))]
+    start = sum(map(lshift, rooms, seats))
+    start += sum(total << shift for (_k, total, _ahead), shift in zip(kept, shifts))
 
     base = sum(w * c for row, cap in zip(lam, caps) for w, c in zip(row, cap))
     rows = [[a * scale - sum(map(mul, row, d)) for row in lam] for a, d in zip(amounts, demands)]
@@ -621,7 +681,10 @@ def _pool_bound(instance: WdpInstance, setup, multipliers):
         for top, demand in zip(tops, demands)
     ]
     rsum = [total << low for total in _tail_sums([t if t > 0 else 0 for t in tops])]
-    slacks = [[top - margin << low for margin in row] for top, row in zip(tops, rows)]
+    slacks = [
+        [(top - margin << low) + (need << at) for margin, at in zip(row, seats)]
+        for top, row, need in zip(tops, rows, needs)
+    ]
 
     tests = [[] for _ in range(n + 1)]
     for (k, total, ahead), shift in zip(kept, shifts):
@@ -643,7 +706,7 @@ def _pool_bound(instance: WdpInstance, setup, multipliers):
                         break
             tests[i].append((shift, mask, weights, rows))
     gcd = math.gcd(*amounts) or 1
-    return base, scale, gcd, pooled, low, margins, rsum, slacks, tests
+    return base, scale, gcd, start, low, margins, rsum, slacks, tests
 
 
 def _scale(instance: WdpInstance) -> tuple[int, list[int]]:

@@ -341,6 +341,17 @@ class TestCompareCommand:
             "compare", str(params_path), "--seeds", "2", "--mechanisms", "mafl,vcg",
         ]) == 2
 
+    @pytest.mark.parametrize("gamma", ["0.5", "1"])
+    def test_the_meta_line_and_the_summary_name_the_settings(self, tmp_path, capsys, gamma):
+        out = tmp_path / "cmp.csv"
+        assert main([
+            "compare", "default", "--seeds", "2", "--solver", "greedy", "--gamma", gamma,
+            "--out", str(out), "--no-header",
+        ]) == 0
+        named = f" solver=greedy pricing=first_price gamma={gamma} scope=winners_only"
+        assert capsys.readouterr().out.splitlines()[0].endswith(f"bootstrap_resamples=1000{named}")
+        assert out.read_text().splitlines()[0].endswith(f"rng=splitmix64{named}")
+
     def test_compare_reproducible(self, params_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

@@ -637,6 +637,55 @@ def test_the_subgradient_root_bound_is_never_weaker_than_the_pooled_multiplier(i
     assert (base + (rsum[0] >> low)) * old_scale <= (old_base + old_rsum[0]) * scale
 
 
+@st.composite
+def repeating_rounds(draw):
+    """2-3 sellers and up to 7 bids whose demands and amounts come from small
+    sets, so that different paths reach the same residuals at the same depth."""
+    d = draw(st.integers(1, 2))
+    units = st.lists(st.integers(0, 3), min_size=d, max_size=d).map(tuple)
+    shapes = draw(st.lists(units, min_size=1, max_size=3))
+    amounts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=2))
+    bids = tuple(
+        Bid(i, draw(st.sampled_from(amounts)), ResourceVector(draw(st.sampled_from(shapes))))
+        for i in range(draw(st.integers(0, 7)))
+    )
+    caps = {2 * j + 1: ResourceVector(draw(units)) for j in range(draw(st.integers(2, 3)))}
+    return WdpInstance(bids, caps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    repeating_rounds().flatmap(lambda r: st.tuples(st.just(r), multipliers(r))),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_a_search_with_the_phases_bounds_returns_the_first_optimum_in_its_order(
+    case, stop, below
+):
+    # ``_search`` with ``pool``, as phases 1 and 2 run it, in the buyer-order
+    # and the density layout, under any multipliers: started below the
+    # optimum, or at OPT - 1 and stopped at its first leaf as phase 2 is, it
+    # returns the optimum that comes first in its layout's bid order.  With
+    # no room for searched states it returns the same in no fewer nodes.
+    instance, drawn = case
+    for setup in (instance._setup, instance._dense_setup()):
+        bids = setup[0]
+        laid_out = WdpInstance(bids, instance.seller_caps)
+        pairs, _optima = least_key_optimum(laid_out, [b.buyer_id for b in bids])
+        amount_of = {b.buyer_id: b.amount for b in bids}
+        optimum = sum(amount_of[b] for b, _ in pairs)
+        floor = optimum - 1 if stop else max(-1, optimum - 1 - below)
+        pool = wdp._pool_bound(instance, setup, drawn)
+        solution, nodes = wdp._search(setup, 10**9, floor, stop, pool)
+        assert solution.optimal
+        assert solution.objective == optimum
+        assert dict(solution.assignment) == dict(pairs)
+        with mock.patch.object(wdp, "RESIDUAL_STATES", 0):
+            unaided, more = wdp._search(setup, 10**9, floor, stop, pool)
+        assert unaided == solution
+        assert nodes <= more
+
+
 def test_floor_the_capacity_bound_proves_the_ladder_25_by_2_at_seed_101():
     # A floor on the solver's power: a better search may only keep it.  The
     # buyer-order search exhausts 100 000 nodes without the bound.  The
@@ -648,12 +697,12 @@ def test_floor_the_capacity_bound_proves_the_ladder_25_by_2_at_seed_101():
     assert check_feasible(solution.assignment, instance)
 
 
-def test_floor_the_phases_prove_at_least_37_of_40_ladder_instances_within_100k_nodes():
+def test_floor_the_phases_prove_40_of_40_ladder_instances_within_100k_nodes():
     # The wdp-ladder sizes up to 30 x 2 at seeds 101-108.  The buyer-order
     # search alone proves 27 of them within the budget, the phases 32 with
-    # the root bounds only, 33 with the pooled bound and 37 with per-seller
-    # multipliers and the gcd cut; a floor on the solver's power, which a
-    # better search may only raise.
+    # the root bounds only, 33 with the pooled bound, 37 with per-seller
+    # multipliers and the gcd cut, and all 40 once phases 1 and 2 skip the
+    # states they have searched; a floor on the solver's power.
     proven = 0
     for seed in range(101, 109):
         for buyers, sellers in [(10, 1), (15, 2), (20, 2), (25, 2), (30, 2)]:
@@ -670,7 +719,24 @@ def test_floor_the_phases_prove_at_least_37_of_40_ladder_instances_within_100k_n
                 demands = [tuple(b.demand) for b in instance.bids]
                 caps = [tuple(cap) for cap in instance.seller_caps.values()]
                 assert solution.objective == brute_force_best(amounts, demands, caps)
-    assert proven >= 37
+            if (buyers, sellers) in HIGHS_OPTIMA:
+                assert solution.objective == HIGHS_OPTIMA[buyers, sellers][seed - 101], seed
+    assert proven == 40
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_phases_1_and_2_prove_200_unit_demand_bids_for_100_units(seed):
+    # The replay shape: 200 unit-demand bids drawn from 1 to 5 for one
+    # seller's 100 units.  Phase 2 meets the same residuals over and over,
+    # and at seeds 1 and 3 ran out of nodes before it skipped searched states.
+    rng = random.Random(seed)
+    bids = tuple(Bid(i, rng.randint(1, 5) * 1000, ResourceVector((1000,))) for i in range(200))
+    instance = WdpInstance(bids, {0: ResourceVector((100_000,))})
+    solution = solve_exact(instance)
+    assert solution.optimal
+    assert solution.assignment == solve_greedy(instance).assignment
+    top = sorted(bids, key=lambda b: (-b.amount, b.buyer_id))[:100]
+    assert solution.assignment == Assignment(tuple((b.buyer_id, 0) for b in top))
 
 
 # Optima of round 1 of the wdp-ladder scenarios at seeds 101-108, in

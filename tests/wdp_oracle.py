@@ -89,15 +89,15 @@ def fraction_greedy(instance):
     return Assignment(tuple(pairs)), objective
 
 
-def least_key_optimum(instance):
+def least_key_optimum(instance, order=None):
     """Brute force: (the optimal assignment with the least search key, number of optima).
 
     Every buyer-to-(seller or unassigned) mapping is enumerated, and each
     one worth at least the best so far is checked for feasibility.  The
-    search key lists each buyer's seller id in buyer id order, with
-    infinity for unassigned.
+    search key lists each buyer's seller id in ``order``, a list of the
+    buyer ids (by default buyer id order), with infinity for unassigned.
     """
-    buyers = sorted(b.buyer_id for b in instance.bids)
+    buyers = sorted(b.buyer_id for b in instance.bids) if order is None else list(order)
     amount_of = {b.buyer_id: b.amount for b in instance.bids}
     options = sorted(instance.seller_caps) + [None]
     best_value = -1
