@@ -139,9 +139,7 @@ def cmd_run(args) -> int:
         meta = {
             "scenario": args.scenario,
             "mechanism": args.mechanism,
-            "solver": settings["solver"],
-            "pricing": settings["pricing"],
-            "gamma": settings["gamma"],
+            **settings,
             "seed": str(scenario.generator.seed) if scenario.generator else "-",
             "rng": GENERATOR_NAME if scenario.generator else "-",
         }
@@ -157,12 +155,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
+def _load_params(args):
+    """The params file or bundled profile ``args.params``, with ``--seed`` applied."""
     params, mechanism = io.parse_params_file(
         io.load_json(_resolve_input(args.params, "profile"))
     )
     if args.seed is not None:
         params = replace(params, seed=args.seed)
+    return params, mechanism
+
+
+def cmd_compare(args) -> int:
+    params, mechanism = _load_params(args)
     base_config = _mechanism_override(mechanism, args)
     names = [name.strip() for name in args.mechanisms.split(",") if name.strip()]
     specs = [MechanismSpec(name, config=base_config) for name in names]
@@ -183,11 +187,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params, mechanism = io.parse_params_file(
-        io.load_json(_resolve_input(args.params, "profile"))
-    )
-    if args.seed is not None:
-        params = replace(params, seed=args.seed)
+    params, mechanism = _load_params(args)
     if args.materialize:
         doc = io.scenario_to_doc(generate_scenario(params), mechanism)
     else:

@@ -87,14 +87,12 @@ def _money_value(value, field: str) -> int:
     return amount
 
 
-def _vector(value, field: str, dimensions: int | None = None) -> ResourceVector:
+def _vector(value, field: str) -> ResourceVector:
     if not isinstance(value, list):
         raise ValidationError(field, "expected an array of quantities")
     units = []
     for k, item in enumerate(value):
         units.append(_money_value(item, f"{field}[{k}]"))
-    if dimensions is not None and len(units) != dimensions:
-        raise ValidationError(field, f"expected {dimensions} components, got {len(units)}")
     return ResourceVector(tuple(units))
 
 
@@ -205,17 +203,13 @@ def parse_scenario(doc: dict) -> tuple[Scenario | GeneratorParams, MechanismConf
         _reject_unknown(entry, {"id", "round_capacity", "period_capacity", "ask"}, f"sellers[{j}].")
         seller_id = _int_value(_require(entry, "id", f"sellers[{j}]."), f"sellers[{j}].id")
         round_cap = _vector(
-            _require(entry, "round_capacity", f"sellers[{j}]."),
-            f"sellers[{j}].round_capacity",
-            dimensions,
+            _require(entry, "round_capacity", f"sellers[{j}]."), f"sellers[{j}].round_capacity"
         )
         if dimensions is None:
             dimensions = len(round_cap)
         period_cap = None
         if entry.get("period_capacity") is not None:
-            period_cap = _vector(
-                entry["period_capacity"], f"sellers[{j}].period_capacity", dimensions
-            )
+            period_cap = _vector(entry["period_capacity"], f"sellers[{j}].period_capacity")
         ask = None
         if entry.get("ask") is not None:
             ask = _money_value(entry["ask"], f"sellers[{j}].ask")
@@ -241,7 +235,7 @@ def parse_scenario(doc: dict) -> tuple[Scenario | GeneratorParams, MechanismConf
                 raise ValidationError(field, "expected an object with amount and demand")
             _reject_unknown(entry, {"amount", "demand"}, f"{field}.")
             amount = _money_value(_require(entry, "amount", f"{field}."), f"{field}.amount")
-            demand = _vector(_require(entry, "demand", f"{field}."), f"{field}.demand", dimensions)
+            demand = _vector(_require(entry, "demand", f"{field}."), f"{field}.demand")
             if dimensions is None:
                 dimensions = len(demand)
             parsed_row.append(Bid(i, amount, demand))

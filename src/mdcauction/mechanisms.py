@@ -229,15 +229,15 @@ def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
     win, ties going to the lowest buyer index; winners pay their bids.
 
     The fixture becomes a one-seller scenario with ``items_per_round``
-    units and unit demands, run by ``run_repeated_srmra`` with the greedy
-    solver: on equal demands its density order is the bid order, ties to
-    the lowest id.  The exact solver picks the same winners, and its
-    capacity bound proves 30 equal bids for 15 items in 46 nodes, but it
-    branches in buyer id order, not bid order: over Python ``random``
-    seeds 0-4, 30 bids drawn from 1 to 5 for 15 items take it 465 to
-    4 244 nodes, and 200 such bids for 100 items 6 114 to 6 833 nodes,
-    where its buyer-order search alone exhausts its node budget (the
-    README gives the figures).
+    units, unit demands and as many rounds as its first row, run by
+    ``run_repeated_srmra`` with the greedy solver: on equal demands its
+    density order is the bid order, ties to the lowest id.  The exact
+    solver picks the same winners, and its capacity bound proves 30 equal
+    bids for 15 items in 46 nodes, but it branches in buyer id order, not
+    bid order: over Python ``random`` seeds 0-4, 30 bids drawn from 1 to
+    5 for 15 items take it 465 to 4 244 nodes, and 200 such bids for 100
+    items 6 114 to 6 833 nodes, where its buyer-order search alone
+    exhausts its node budget (the README gives the figures).
     """
     if not isinstance(items_per_round, int) or isinstance(items_per_round, bool):
         raise ValidationError("items_per_round", "must be an integer")
@@ -247,26 +247,18 @@ def replay(bid_matrix, budgets, items_per_round: int) -> AuctionResult:
     for i, b in enumerate(budget_milli):
         if b < 0:
             raise ValidationError(f"budgets[{i}]", "must be >= 0")
-    if len(bid_matrix) != len(budget_milli):
-        raise ValidationError(
-            "bids", f"expected {len(budget_milli)} rows, got {len(bid_matrix)}"
-        )
     unit = ResourceVector((SCALE,))
     matrix = []
     for i, row in enumerate(bid_matrix):
         amounts = [to_milli(a, f"bids[{i}][{l}]") for l, a in enumerate(row)]
         if any(a < 0 for a in amounts):
             raise ValidationError(f"bids[{i}]", "amounts must be >= 0")
-        if matrix and len(amounts) != len(matrix[0]):
-            horizon = len(matrix[0])
-            raise ValidationError(f"bids[{i}]", f"expected {horizon} rounds, got {len(amounts)}")
         matrix.append(tuple(Bid(i, a, unit) for a in amounts))
 
     buyers = tuple(Buyer(i, b) for i, b in enumerate(budget_milli))
     seller = Seller(0, ResourceVector((items_per_round * SCALE,)))
-    if not matrix or not matrix[0]:
-        return AuctionResult(AuctionLedger.new(buyers, [seller]))
-    scenario = Scenario(buyers, (seller,), len(matrix[0]), 1, tuple(matrix))
+    horizon = len(matrix[0]) if matrix else 0
+    scenario = Scenario(buyers, (seller,), horizon, 1, tuple(matrix))
     return run_repeated_srmra(scenario, MechanismConfig(solver="greedy"))
 
 

@@ -95,6 +95,8 @@ class GeneratorParams:
 
 
 _MINIMUMS = {"n_buyers": 0, "m_sellers": 0, "horizon": 1, "dimensions": 1}
+# An explicit bid matrix may have no rounds: its run is empty.
+_SCENARIO_MINIMUMS = {"horizon": 0, "dimensions": 1}
 # Rounds and dimensions are looped over even with no buyers or sellers, so
 # without a maximum a file of a few bytes can run for hours.
 _MAXIMUMS = {"horizon": 100_000, "dimensions": 64}
@@ -109,12 +111,12 @@ _RANGES = tuple(
 )
 
 
-def _check_bounds(holder, names) -> None:
-    """Hold each named field of ``holder`` to ``_MINIMUMS`` and ``_MAXIMUMS``."""
-    for name in names:
+def _check_bounds(holder, minimums: dict[str, int]) -> None:
+    """Hold each named field of ``holder`` to its minimum and to ``_MAXIMUMS``."""
+    for name, minimum in minimums.items():
         value = getattr(holder, name)
-        if value < _MINIMUMS[name]:
-            raise ValidationError(name, f"must be >= {_MINIMUMS[name]}")
+        if value < minimum:
+            raise ValidationError(name, f"must be >= {minimum}")
         if value > _MAXIMUMS.get(name, value):
             raise ValidationError(name, f"must be <= {_MAXIMUMS[name]}")
 
@@ -124,7 +126,8 @@ class Scenario:
     """A workload, and the one place its facts are checked.
 
     ``bid_matrix[i][l-1]`` is buyer i's bid for round l; the bids
-    themselves carry no round index.  ``generator`` is provenance only:
+    themselves carry no round index.  ``horizon`` may be 0, an empty run;
+    a generator draws at least one round.  ``generator`` is provenance only:
     the parameters ``simlab.generate_scenario`` drew this scenario from.
     The mechanism settings are not part of it; each run takes them.
     """
@@ -138,7 +141,7 @@ class Scenario:
     bids_are_valuations: bool = False
 
     def __post_init__(self):
-        _check_bounds(self, ("horizon", "dimensions"))
+        _check_bounds(self, _SCENARIO_MINIMUMS)
         for position, buyer in enumerate(self.buyers):
             if buyer.id != position:
                 raise ValidationError(

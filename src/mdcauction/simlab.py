@@ -8,7 +8,6 @@ whole ensemble is a pure function of the generator parameters.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
@@ -313,7 +312,7 @@ def compare(
         MechanismStats(
             label,
             sum(revenue_units[label]) / n_seeds,
-            float(statistics.median(revenue_units[label])),
+            _percentile(sorted(revenue_units[label]), 0.5),
         )
         for label in labels
     )

@@ -94,6 +94,15 @@ class TestSchemas:
         )
         assert items == 2
 
+    def test_period_capacity_reads_back_equal(self):
+        doc = json.loads(json.dumps(TABLE1_SCENARIO))
+        doc["sellers"][0]["period_capacity"] = [7.5]
+        scenario, mechanism = parse_scenario(doc)
+        assert list(scenario.sellers[0].period_capacity) == [7500]
+        reread = json.loads(dump_json(scenario_to_doc(scenario, mechanism)))
+        assert reread["sellers"][0]["period_capacity"] == [7.5]
+        assert parse_scenario(reread) == (scenario, mechanism)
+
     def test_extra_bid_rows_named_once(self):
         doc = json.loads(json.dumps(TABLE1_SCENARIO))
         doc["bids"].append(doc["bids"][0])
@@ -193,6 +202,35 @@ class TestRunCommand:
             "--out", str(out), "--no-header",
         ]) == 0
         assert "seed=7" in out.read_text().splitlines()[0]
+
+    def test_zero_round_scenario_is_an_empty_run(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TABLE1_SCENARIO))
+        doc["horizon"] = 0
+        doc["bids"] = [[], [], []]
+        path, out = tmp_path / "empty.json", tmp_path / "empty.csv"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(out), "--no-header"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == [
+            "total utility=0.000 revenue=0.000",
+            "allocation_ratio=0.0000",
+            "exhaustion_rounds: 0=never 1=never 2=never",
+        ]
+        assert out.read_text().splitlines()[1:3] == [
+            "round,utility,revenue,winners",
+            "total,0.000,0.000,",
+        ]
+
+    def test_the_meta_line_names_the_scope(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TABLE1_SCENARIO))
+        doc["mechanism"]["scope"] = "all_buyers"
+        path, out = tmp_path / "scoped.json", tmp_path / "scoped.csv"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(out), "--no-header"]) == 0
+        assert out.read_text().splitlines()[0] == (
+            f"# mdcauction run scenario={path} mechanism=mafl solver=exact"
+            " pricing=first_price gamma=1 scope=all_buyers seed=- rng=-"
+        )
 
     def test_seed_on_explicit_scenario_exits_2(self, table1_path, capsys):
         assert main(["run", str(table1_path), "--seed", "7"]) == 2
@@ -530,6 +568,31 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == "error: bids: expected 1 rows, got 2\n"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param(
+                lambda doc: doc["bids"][2][1].update(demand=[1, 1]),
+                "bids[2][1].demand: expected 1 components, got 2",
+                id="demand",
+            ),
+            pytest.param(
+                lambda doc: doc["sellers"][0].update(id=5, period_capacity=[4, 4]),
+                "sellers[5].period_capacity: dimension differs from round_capacity",
+                id="period-capacity",
+            ),
+        ],
+    )
+    def test_vector_of_the_wrong_length_prints_one_pinned_line(
+        self, tmp_path, capsys, change, message
+    ):
+        doc = json.loads(json.dumps(TABLE1_SCENARIO))
+        change(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(

@@ -173,18 +173,18 @@ class TestReplay:
         assert result.total_utility == 1000
 
     def test_ragged_matrix_rejected(self):
-        with pytest.raises(ValidationError, match="bids"):
+        with pytest.raises(ValidationError, match=r"^bids\[1\]: expected 2 rounds, got 1$"):
             replay([[1, 2], [3]], [5, 5], 1)
 
     def test_row_count_must_match_budgets(self):
-        with pytest.raises(ValidationError, match="bids"):
+        with pytest.raises(ValidationError, match=r"^bids: expected 2 rows, got 1$"):
             replay([[1]], [5, 5], 1)
 
     def test_items_per_round_must_be_an_integer(self):
         with pytest.raises(ValidationError, match="items_per_round"):
             replay([[1]], [5], 1.5)
 
-    @pytest.mark.parametrize("bids, budgets", [([], []), ([[]], [5])])
+    @pytest.mark.parametrize("bids, budgets", [([], []), ([[]], [5]), ([[], []], [1, 2])])
     def test_empty_fixture_has_zero_rounds(self, bids, budgets):
         result = replay(bids, budgets, 2)
         assert result.rounds == ()

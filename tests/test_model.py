@@ -75,6 +75,16 @@ class TestRoundOutcome:
         with pytest.raises(InvariantViolation, match="non-winner"):
             RoundOutcome(1, Assignment(((0, 0),)), {0: 5000}, {1: 1}, {0: rv(1)})
 
+    def test_bids_must_cover_the_winners(self):
+        with pytest.raises(InvariantViolation, match="^bid amounts must cover exactly the winners"):
+            RoundOutcome(1, Assignment(((0, 0), (1, 0))), {0: 5000}, {}, {0: rv(1), 1: rv(1)})
+
+    def test_demands_must_cover_the_winners(self):
+        with pytest.raises(
+            InvariantViolation, match="^served demands must cover exactly the winners$"
+        ):
+            RoundOutcome(1, Assignment(((0, 0),)), {0: 5000}, {}, {})
+
 
 class TestLedger:
     def test_new_ledger_mirrors_scenario(self):
@@ -88,6 +98,14 @@ class TestLedger:
         ledger = AuctionLedger.new([], [])
         assert ledger.remaining_budget == {}
         assert ledger.remaining_period_capacity == {}
+
+    def test_duplicate_buyer_id_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"^buyers\[0\]: duplicate buyer id$"):
+            AuctionLedger.new([Buyer(0, 1000), Buyer(0, 2000)], [])
+
+    def test_duplicate_seller_id_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"^sellers\[4\]: duplicate seller id$"):
+            AuctionLedger.new([], [Seller(4, rv(1)), Seller(4, rv(2))])
 
     def test_period_capacity_initialization(self):
         seller = Seller(0, rv(2, 2, 2), rv(6, 6, 6))
@@ -198,6 +216,37 @@ class TestScenarioValidation:
                 dimensions=1,
                 bid_matrix=(),
             )
+
+    def test_duplicate_seller_id_names_its_position(self):
+        from mdcauction import Scenario
+
+        with pytest.raises(ValidationError, match=r"^sellers\[1\]\.id: duplicate seller id$"):
+            Scenario(
+                buyers=(),
+                sellers=(Seller(3, rv(1)), Seller(3, rv(2))),
+                horizon=1,
+                dimensions=1,
+                bid_matrix=(),
+            )
+
+    def test_a_bid_in_another_buyers_row_is_rejected(self):
+        from mdcauction import Bid, Scenario
+
+        with pytest.raises(ValidationError, match=r"^bids\[0\]\[0\]: buyer_id mismatch$"):
+            Scenario(
+                buyers=(Buyer(0, 5000),),
+                sellers=(),
+                horizon=1,
+                dimensions=1,
+                bid_matrix=((Bid(1, 1000, rv(1)),),),
+            )
+
+    def test_an_explicit_scenario_may_have_no_rounds(self):
+        from mdcauction import Scenario
+
+        assert Scenario((Buyer(0, 5000),), (Seller(0, rv(1)),), 0, 1, ((),)).horizon == 0
+        with pytest.raises(ValidationError, match="^horizon: must be >= 0$"):
+            Scenario((), (), -1, 1, ())
 
     @pytest.mark.parametrize("gamma", [-0.5, float("inf"), float("nan"), 1000.5, 6.9e8])
     def test_gamma_outside_the_bound_is_rejected(self, gamma):

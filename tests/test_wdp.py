@@ -65,6 +65,14 @@ def test_the_dimension_comes_from_the_capacities_or_else_the_bids(bids, seller_c
     assert WdpInstance(bids, seller_caps).dimension == dimension
 
 
+def test_capacities_of_different_lengths_are_rejected():
+    caps = {0: ResourceVector((1, 2)), 1: ResourceVector((1,))}
+    with pytest.raises(
+        ValidationError, match=r"^seller_caps\[1\]: inconsistent resource dimension$"
+    ):
+        WdpInstance((), caps)
+
+
 class TestSolveExact:
     def test_unit_demand_top_k(self):
         # three unit-demand buyers, one seller with room for two
