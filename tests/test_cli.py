@@ -103,6 +103,22 @@ class TestSchemas:
         assert reread["sellers"][0]["period_capacity"] == [7.5]
         assert parse_scenario(reread) == (scenario, mechanism)
 
+    def test_null_optional_seller_fields_read_as_absent(self):
+        doc = json.loads(json.dumps(TABLE1_SCENARIO))
+        doc["sellers"][0].update(period_capacity=None, ask=None)
+        assert parse_scenario(doc) == parse_scenario(TABLE1_SCENARIO)
+
+    def test_without_sellers_the_dimension_comes_from_the_first_demand(self):
+        doc = json.loads(json.dumps(TABLE1_SCENARIO))
+        del doc["dimensions"]
+        doc["sellers"] = []
+        for row in doc["bids"]:
+            for bid in row:
+                bid["demand"] = [1, 2]
+        scenario, _ = parse_scenario(doc)
+        assert scenario.dimensions == 2
+        assert list(scenario.bid_matrix[0][0].demand) == [1000, 2000]
+
     def test_extra_bid_rows_named_once(self):
         doc = json.loads(json.dumps(TABLE1_SCENARIO))
         doc["bids"].append(doc["bids"][0])
@@ -550,6 +566,131 @@ MECHANISM_FAULTS = [
 ]
 
 
+def _set(*path_and_value):
+    """A change to a scenario doc: ``_set("sellers", 0, "id", 5)`` sets
+    ``doc["sellers"][0]["id"] = 5``; a ``_MISSING`` value deletes the key."""
+    *path, key, value = path_and_value
+
+    def change(doc):
+        holder = doc
+        for step in path:
+            holder = holder[step]
+        if value is _MISSING:
+            del holder[key]
+        else:
+            holder[key] = value
+
+    return change
+
+
+def _second_seller(entry):
+    return lambda doc: doc["sellers"].append(entry)
+
+
+# One fault per change to TABLE1_SCENARIO (3 buyers, 1 seller, 6 rounds, 1
+# dimension); the message is the exact `error:` text, or None where the file
+# is accepted.  A record in a file is named by its position there.
+SCENARIO_FAULTS = [
+    pytest.param(_set("buyers", {}), "buyers: expected an array", id="buyers-object"),
+    pytest.param(_set("sellers", 2), "sellers: expected an array", id="sellers-number"),
+    pytest.param(_set("bids", "x"), "bids: expected an array of per-buyer rows",
+                 id="bids-string"),
+    pytest.param(_set("sellers", 0, 5), "sellers[0]: expected an object", id="seller-number"),
+    pytest.param(_set("buyers", 1, [1]), "buyers[1]: expected an object", id="buyer-array"),
+    pytest.param(_set("bids", 1, 2, 3), "bids[1][2]: expected an object", id="bid-number"),
+    pytest.param(_set("bids", 2, {}), "bids[2]: expected an array of per-round bids",
+                 id="bid-row-object"),
+    # unknown keys, a bid's buyer_id too: a bid's buyer is its row
+    pytest.param(_set("sellers", 0, "surprise", 1), "sellers[0].surprise: unknown field",
+                 id="seller-unknown"),
+    pytest.param(_set("buyers", 1, "surprise", 1), "buyers[1].surprise: unknown field",
+                 id="buyer-unknown"),
+    pytest.param(_set("bids", 0, 1, "surprise", 1), "bids[0][1].surprise: unknown field",
+                 id="bid-unknown"),
+    pytest.param(_set("bids", 0, 1, "buyer_id", 0), "bids[0][1].buyer_id: unknown field",
+                 id="bid-buyer_id"),
+    # missing required keys
+    *(
+        pytest.param(_set(*where, key, _MISSING), f"{name}.{key}: required field is missing",
+                     id=f"{label}-{key}-missing")
+        for label, where, name, keys in (
+            ("seller", ("sellers", 0), "sellers[0]", ("id", "round_capacity")),
+            ("buyer", ("buyers", 2), "buyers[2]", ("id", "budget")),
+            ("bid", ("bids", 1, 3), "bids[1][3]", ("amount", "demand")),
+        )
+        for key in keys
+    ),
+    # wrong types, one reader each: an integer id, a quantity array, money
+    pytest.param(_set("sellers", 0, "id", "0"), "sellers[0].id: expected an integer",
+                 id="seller-id-string"),
+    pytest.param(_set("buyers", 1, "id", 1.5), "buyers[1].id: expected an integer",
+                 id="buyer-id-fraction"),
+    pytest.param(_set("buyers", 1, "id", None), "buyers[1].id: expected an integer",
+                 id="buyer-id-null"),
+    pytest.param(_set("sellers", 0, "round_capacity", 2),
+                 "sellers[0].round_capacity: expected an array of quantities",
+                 id="seller-round_capacity-number"),
+    pytest.param(_set("sellers", 0, "round_capacity", None),
+                 "sellers[0].round_capacity: expected an array of quantities",
+                 id="seller-round_capacity-null"),
+    pytest.param(_set("sellers", 0, "period_capacity", {"cpu": 1}),
+                 "sellers[0].period_capacity: expected an array of quantities",
+                 id="seller-period_capacity-object"),
+    pytest.param(_set("sellers", 0, "period_capacity", [True]),
+                 "sellers[0].period_capacity[0]: expected a number, got a boolean",
+                 id="seller-period_capacity-boolean"),
+    pytest.param(_set("sellers", 0, "ask", [3]), "sellers[0].ask: expected a number, got list",
+                 id="seller-ask-array"),
+    pytest.param(_set("sellers", 0, "ask", -1), "sellers[0].ask: must be >= 0",
+                 id="seller-ask-negative"),
+    pytest.param(_set("buyers", 0, "budget", True),
+                 "buyers[0].budget: expected a number, got a boolean", id="buyer-budget-boolean"),
+    pytest.param(_set("buyers", 0, "budget", None),
+                 "buyers[0].budget: expected a number, got NoneType", id="buyer-budget-null"),
+    pytest.param(_set("buyers", 0, "budget", -1), "buyers[0].budget: must be >= 0",
+                 id="buyer-budget-negative"),
+    pytest.param(_set("bids", 2, 0, "amount", {}),
+                 "bids[2][0].amount: expected a number, got dict", id="bid-amount-object"),
+    pytest.param(_set("bids", 2, 0, "amount", 0.0001),
+                 "bids[2][0].amount: resolution finer than 0.001 is not representable",
+                 id="bid-amount-fine"),
+    pytest.param(_set("bids", 2, 0, "demand", 1),
+                 "bids[2][0].demand: expected an array of quantities", id="bid-demand-number"),
+    pytest.param(_set("bids", 2, 0, "demand", [-1]), "bids[2][0].demand[0]: must be >= 0",
+                 id="bid-demand-negative"),
+    # checks of the records themselves, named by position, not by id
+    pytest.param(_set("sellers", 0, "id", -1), "sellers[0].id: must be >= 0",
+                 id="seller-id-negative"),
+    pytest.param(_set("buyers", 0, "id", -1), "buyers[0].id: must be >= 0",
+                 id="buyer-id-negative"),
+    pytest.param(_second_seller({"id": 5, "round_capacity": [2], "period_capacity": [4, 4]}),
+                 "sellers[1].period_capacity: dimension differs from round_capacity",
+                 id="second-seller-period_capacity-length"),
+    pytest.param(_second_seller({"id": 0, "round_capacity": [2]}),
+                 "sellers[1].id: duplicate seller id", id="second-seller-duplicate-id"),
+    # optional fields: null reads as absent
+    pytest.param(_set("sellers", 0, "period_capacity", None), None, id="period_capacity-null"),
+    pytest.param(_set("sellers", 0, "ask", None), None, id="ask-null"),
+    pytest.param(_second_seller({"id": 7, "round_capacity": [1], "ask": 0.5}), None,
+                 id="second-seller-id-7"),
+    # without `dimensions`: the first round capacity, else the first demand
+    pytest.param(_set("dimensions", _MISSING), None, id="dimensions-from-capacity"),
+    pytest.param(
+        lambda doc: (doc.pop("dimensions"), doc["sellers"][0].update(round_capacity=[2, 2])),
+        "bids[0][0].demand: expected 2 components, got 1",
+        id="dimensions-from-the-first-capacity",
+    ),
+    pytest.param(lambda doc: (doc.pop("dimensions"), doc.update(sellers=[])), None,
+                 id="dimensions-from-demand"),
+    pytest.param(
+        lambda doc: (doc.pop("dimensions"), doc.update(sellers=[]),
+                     doc["bids"][0][0].update(demand=[1, 1])),
+        "bids[0][1].demand: expected 2 components, got 1",
+        id="dimensions-from-the-first-demand",
+    ),
+]
+
+
 class TestValidateCommand:
     def test_ok_paths(self, table1_path, params_path, capsys):
         assert main(["validate", str(table1_path)]) == 0
@@ -579,7 +720,7 @@ class TestValidateCommand:
             ),
             pytest.param(
                 lambda doc: doc["sellers"][0].update(id=5, period_capacity=[4, 4]),
-                "sellers[5].period_capacity: dimension differs from round_capacity",
+                "sellers[0].period_capacity: dimension differs from round_capacity",
                 id="period-capacity",
             ),
         ],
@@ -631,6 +772,19 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         prefix = "generator." if block else ""
         assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+
+    @pytest.mark.parametrize("change, message", SCENARIO_FAULTS)
+    def test_scenario_fault_prints_one_pinned_line(self, tmp_path, capsys, change, message):
+        doc = json.loads(json.dumps(TABLE1_SCENARIO))
+        change(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        if message is None:
+            assert main(["validate", str(path)]) == 0
+            assert capsys.readouterr().out == "ok: scenario\n"
+            return
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("holder", ["params", "scenario"])
     @pytest.mark.parametrize("changes, message", MECHANISM_FAULTS)
