@@ -192,12 +192,12 @@ def cmd_gen(args) -> int:
         doc = io.scenario_to_doc(generate_scenario(params), mechanism)
     else:
         doc = io.generator_to_doc(params, mechanism)
-    text = io.dump_json(doc)
+    # ASCII with control characters escaped, so its lines join back exactly
+    lines = io.dump_json(doc).splitlines()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        io.write_lines(args.out, lines)
     else:
-        sys.stdout.write(text)
+        _emit(lines)
     return 0
 
 

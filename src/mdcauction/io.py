@@ -13,6 +13,7 @@ import json
 from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from decimal import Decimal
+from itertools import chain
 
 from .errors import ValidationError
 from .mechanisms import AuctionResult
@@ -159,6 +160,38 @@ def parse_params_file(doc: dict) -> tuple[GeneratorParams, MechanismConfig]:
     return params, mechanism
 
 
+_QUANTITY_FIELDS = {"round_capacity", "period_capacity", "demand"}
+
+
+def _record(entry, kind, field: str, **given):
+    """Read ``entry`` as a ``kind`` (``Seller``, ``Buyer`` or ``Bid``) by its fields.
+
+    ``id`` is an integer, a capacity or demand an array of quantities, any
+    other field money.  A field with a default may be omitted or null.
+    ``given`` holds the fields the file does not: a bid's ``buyer_id`` is its
+    row.  Every message names the entry by its position, ``field``, whatever
+    its id.
+    """
+    if not isinstance(entry, dict):
+        raise ValidationError(field, "expected an object")
+    read = [f for f in fields(kind) if f.name not in given]
+    _reject_unknown(entry, {f.name for f in read}, f"{field}.")
+    kwargs = dict(given)
+    for f in read:
+        if f.default is MISSING or entry.get(f.name) is not None:
+            value = _require(entry, f.name, f"{field}.")
+            read_value = (
+                _int_value if f.name == "id"
+                else _vector if f.name in _QUANTITY_FIELDS
+                else _money_value
+            )
+            kwargs[f.name] = read_value(value, f"{field}.{f.name}")
+    try:
+        return kind(**kwargs)
+    except ValidationError as exc:  # the record names itself by its id, or by no index
+        raise ValidationError(f"{field}.{exc.field.rpartition('.')[2]}", exc.message) from None
+
+
 _SCENARIO_KEYS = {"buyers", "sellers", "horizon", "dimensions", "bids", "generator", "mechanism"}
 _PARAMS_ONLY_KEYS = {f.name for f in fields(GeneratorParams)} - _SCENARIO_KEYS
 
@@ -166,10 +199,12 @@ _PARAMS_ONLY_KEYS = {f.name for f in fields(GeneratorParams)} - _SCENARIO_KEYS
 def parse_scenario(doc: dict) -> tuple[Scenario | GeneratorParams, MechanismConfig]:
     """Parse a scenario file into ``(workload, mechanism)``.
 
-    The workload is a ``Scenario`` for explicit bids.  A file with a
-    ``generator`` block parses to the same ``(params, mechanism)`` pair
-    as ``parse_params_file``; ``simlab.generate_scenario`` draws the
-    scenario from it.
+    The workload is a ``Scenario`` for explicit bids.  Each seller, buyer
+    and bid key is the field of the same name of ``Seller``, ``Buyer`` or
+    ``Bid``, and an error names an entry by its position in the file.  A
+    file with a ``generator`` block parses to the same ``(params,
+    mechanism)`` pair as ``parse_params_file``; ``simlab.generate_scenario``
+    draws the scenario from it.
     """
     _reject_unknown(doc, _SCENARIO_KEYS, "scenario.")
     mechanism = _mechanism_block(doc)
@@ -192,63 +227,21 @@ def parse_scenario(doc: dict) -> tuple[Scenario | GeneratorParams, MechanismConf
     if not isinstance(bids_doc, list):
         raise ValidationError("bids", "expected an array of per-buyer rows")
 
-    dimensions = None
-    if "dimensions" in doc:
-        dimensions = _int_value(doc["dimensions"], "dimensions")
-
-    sellers = []
-    for j, entry in enumerate(sellers_doc):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"sellers[{j}]", "expected an object")
-        _reject_unknown(entry, {"id", "round_capacity", "period_capacity", "ask"}, f"sellers[{j}].")
-        seller_id = _int_value(_require(entry, "id", f"sellers[{j}]."), f"sellers[{j}].id")
-        round_cap = _vector(
-            _require(entry, "round_capacity", f"sellers[{j}]."), f"sellers[{j}].round_capacity"
-        )
-        if dimensions is None:
-            dimensions = len(round_cap)
-        period_cap = None
-        if entry.get("period_capacity") is not None:
-            period_cap = _vector(entry["period_capacity"], f"sellers[{j}].period_capacity")
-        ask = None
-        if entry.get("ask") is not None:
-            ask = _money_value(entry["ask"], f"sellers[{j}].ask")
-        sellers.append(Seller(seller_id, round_cap, period_cap, ask))
-
-    buyers = []
-    for i, entry in enumerate(buyers_doc):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"buyers[{i}]", "expected an object")
-        _reject_unknown(entry, {"id", "budget"}, f"buyers[{i}].")
-        buyer_id = _int_value(_require(entry, "id", f"buyers[{i}]."), f"buyers[{i}].id")
-        budget = _money_value(_require(entry, "budget", f"buyers[{i}]."), f"buyers[{i}].budget")
-        buyers.append(Buyer(buyer_id, budget))
-
+    dimensions = _int_value(doc["dimensions"], "dimensions") if "dimensions" in doc else None
+    sellers = tuple(_record(entry, Seller, f"sellers[{j}]") for j, entry in enumerate(sellers_doc))
+    buyers = tuple(_record(entry, Buyer, f"buyers[{i}]") for i, entry in enumerate(buyers_doc))
     matrix = []
     for i, row in enumerate(bids_doc):
         if not isinstance(row, list):
             raise ValidationError(f"bids[{i}]", "expected an array of per-round bids")
-        parsed_row = []
-        for l, entry in enumerate(row):
-            field = f"bids[{i}][{l}]"
-            if not isinstance(entry, dict):
-                raise ValidationError(field, "expected an object with amount and demand")
-            _reject_unknown(entry, {"amount", "demand"}, f"{field}.")
-            amount = _money_value(_require(entry, "amount", f"{field}."), f"{field}.amount")
-            demand = _vector(_require(entry, "demand", f"{field}."), f"{field}.demand")
-            if dimensions is None:
-                dimensions = len(demand)
-            parsed_row.append(Bid(i, amount, demand))
-        matrix.append(tuple(parsed_row))
-
-    scenario = Scenario(
-        buyers=tuple(buyers),
-        sellers=tuple(sellers),
-        horizon=horizon,
-        dimensions=dimensions if dimensions is not None else 3,
-        bid_matrix=tuple(matrix),
-    )
-    return scenario, mechanism
+        matrix.append(
+            tuple(_record(entry, Bid, f"bids[{i}][{l}]", buyer_id=i) for l, entry in enumerate(row))
+        )
+    if dimensions is None:  # the first round capacity, else the first demand, else 3
+        shapes = chain((s.round_capacity for s in sellers), (b.demand for r in matrix for b in r))
+        first = next(shapes, None)
+        dimensions = 3 if first is None else len(first)
+    return Scenario(buyers, sellers, horizon, dimensions, tuple(matrix)), mechanism
 
 
 _FIXTURE_KEYS = {"budgets", "bids", "items_per_round"}
@@ -281,38 +274,34 @@ def generator_to_doc(params: GeneratorParams, mechanism: MechanismConfig) -> dic
     return {"generator": generator, "mechanism": asdict(mechanism)}
 
 
+def _record_doc(record) -> dict:
+    """The file entry of a seller, buyer or bid: the inverse of ``_record``."""
+    doc = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name == "buyer_id" or value is None:
+            continue
+        if f.name == "id":
+            doc[f.name] = value
+        elif f.name in _QUANTITY_FIELDS:
+            doc[f.name] = [_milli_to_json(u) for u in value]
+        else:
+            doc[f.name] = _milli_to_json(value)
+    return doc
+
+
 def scenario_to_doc(scenario: Scenario, mechanism: MechanismConfig) -> dict:
     """JSON-ready scenario file: ``scenario`` as an explicit bid matrix, run under ``mechanism``.
 
     Such a file replays verbatim: reloaded bids are no longer treated
     as adjustable valuations, even when the scenario was generated.
     """
-    sellers = []
-    for seller in scenario.sellers:
-        entry = {
-            "id": seller.id,
-            "round_capacity": [_milli_to_json(u) for u in seller.round_capacity],
-        }
-        if seller.period_capacity is not None:
-            entry["period_capacity"] = [_milli_to_json(u) for u in seller.period_capacity]
-        if seller.ask is not None:
-            entry["ask"] = _milli_to_json(seller.ask)
-        sellers.append(entry)
     return {
         "dimensions": scenario.dimensions,
         "horizon": scenario.horizon,
-        "buyers": [{"id": b.id, "budget": _milli_to_json(b.budget)} for b in scenario.buyers],
-        "sellers": sellers,
-        "bids": [
-            [
-                {
-                    "amount": _milli_to_json(bid.amount),
-                    "demand": [_milli_to_json(u) for u in bid.demand],
-                }
-                for bid in row
-            ]
-            for row in scenario.bid_matrix
-        ],
+        "buyers": [_record_doc(buyer) for buyer in scenario.buyers],
+        "sellers": [_record_doc(seller) for seller in scenario.sellers],
+        "bids": [[_record_doc(bid) for bid in row] for row in scenario.bid_matrix],
         "mechanism": asdict(mechanism),
     }
 

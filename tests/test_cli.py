@@ -5,11 +5,17 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdcauction import (
+    Bid,
+    Buyer,
     InvariantViolation,
     MechanismConfig,
+    ResourceVector,
+    Scenario,
     SearchBudgetExceeded,
+    Seller,
     ValidationError,
     mechanisms,
 )
@@ -48,6 +54,44 @@ SMALL_PARAMS = {
 }
 
 
+# Amounts and quantities at 0.001 resolution, in milli-units.
+_MILLI = st.integers(0, 10**9)
+
+
+@st.composite
+def explicit_scenarios(draw):
+    """An explicit scenario whose seller ids are distinct but not their positions,
+    each with or without a period capacity and an ask."""
+    dims = draw(st.integers(1, 3))
+    vector = st.lists(_MILLI, min_size=dims, max_size=dims).map(lambda u: ResourceVector(tuple(u)))
+    seller_ids = draw(st.lists(st.integers(0, 20), max_size=3, unique=True))
+    sellers = tuple(
+        Seller(j, draw(vector), draw(st.none() | vector), draw(st.none() | _MILLI))
+        for j in seller_ids
+    )
+    horizon = draw(st.integers(0, 3))
+    budgets = draw(st.lists(_MILLI, max_size=3))
+    return Scenario(
+        buyers=tuple(Buyer(i, b) for i, b in enumerate(budgets)),
+        sellers=sellers,
+        horizon=horizon,
+        dimensions=dims,
+        bid_matrix=tuple(
+            tuple(Bid(i, draw(_MILLI), draw(vector)) for _ in range(horizon))
+            for i in range(len(budgets))
+        ),
+    )
+
+
+_MECHANISMS = st.builds(
+    MechanismConfig,
+    gamma=st.sampled_from([0.0, 0.5, 1.0, 2.5, 1000.0]),
+    scope=st.sampled_from(["winners_only", "all_buyers"]),
+    pricing=st.sampled_from(["first_price", "critical_value"]),
+    solver=st.sampled_from(["exact", "greedy"]),
+)
+
+
 @pytest.fixture
 def table1_path(tmp_path):
     path = tmp_path / "table1_scenario.json"
@@ -67,6 +111,12 @@ class TestSchemas:
         scenario, mechanism = parse_scenario(json.loads(json.dumps(TABLE1_SCENARIO)))
         doc = scenario_to_doc(scenario, mechanism)
         assert parse_scenario(json.loads(dump_json(doc))) == (scenario, mechanism)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=explicit_scenarios(), mechanism=_MECHANISMS)
+    def test_written_scenario_reads_back_equal(self, scenario, mechanism):
+        text = dump_json(scenario_to_doc(scenario, mechanism))
+        assert parse_scenario(json.loads(text)) == (scenario, mechanism)
 
     def test_unknown_field_named(self):
         doc = dict(TABLE1_SCENARIO, surprise=1)
@@ -107,17 +157,6 @@ class TestSchemas:
         doc = json.loads(json.dumps(TABLE1_SCENARIO))
         doc["sellers"][0].update(period_capacity=None, ask=None)
         assert parse_scenario(doc) == parse_scenario(TABLE1_SCENARIO)
-
-    def test_without_sellers_the_dimension_comes_from_the_first_demand(self):
-        doc = json.loads(json.dumps(TABLE1_SCENARIO))
-        del doc["dimensions"]
-        doc["sellers"] = []
-        for row in doc["bids"]:
-            for bid in row:
-                bid["demand"] = [1, 2]
-        scenario, _ = parse_scenario(doc)
-        assert scenario.dimensions == 2
-        assert list(scenario.bid_matrix[0][0].demand) == [1000, 2000]
 
     def test_extra_bid_rows_named_once(self):
         doc = json.loads(json.dumps(TABLE1_SCENARIO))
