@@ -143,7 +143,10 @@ def run_srmra(
                 f"bids[{bid.buyer_id}].amount", "exceeds the buyer's remaining budget"
             )
     caps = {s.id: ledger.effective_capacity(s) for s in sellers}
-    instance = WdpInstance(tuple(b for b in bids if b.amount > 0), caps)
+    # From a list the tuple is allocated at its length.  One built from a generator
+    # is resized to it, so on release it joins CPython's free list for that length
+    # without having been taken from it, and only a full collection empties the list.
+    instance = WdpInstance([b for b in bids if b.amount > 0], caps)
     solve = solve_exact if config.solver == "exact" else solve_greedy
     solution = solve(instance)
 
@@ -173,7 +176,8 @@ def _run(
 
     Each round, every buyer's bid from the matrix is clamped to its
     remaining budget and, with ``adjust``, passed through ``adjust_bid``
-    with ``config`` and the previous round's winners; then ``clear``,
+    with ``config`` and the previous round's winners; a bid whose amount
+    that leaves unchanged is the matrix's own.  Then ``clear``,
     called like ``run_srmra`` with ``config``, clears the round, charges
     the ledger and returns the outcome.
     """
@@ -188,7 +192,7 @@ def _run(
             if adjust:
                 won = buyer.id in previous_winners
                 amount = adjust_bid(amount, remaining, buyer.budget, config, won)
-            round_bids.append(Bid(buyer.id, amount, raw.demand))
+            round_bids.append(raw if amount == raw.amount else Bid(buyer.id, amount, raw.demand))
         outcome = clear(round_bids, scenario.sellers, ledger, config)
         previous_winners = outcome.winners.buyers()
     return AuctionResult(ledger)

@@ -17,6 +17,7 @@ SCALE = 1000
 # magnitude: at most 28 digits, as many as the default Decimal context
 # holds exactly, and far inside the 4300 digits Python formats, even summed.
 _MAX_MILLI = 10**28
+_TOO_LARGE = f"too large: must be below {_MAX_MILLI // SCALE:.0e}"
 
 
 def to_milli(value, field: str = "value") -> int:
@@ -29,6 +30,11 @@ def to_milli(value, field: str = "value") -> int:
     """
     if isinstance(value, bool):
         raise ValidationError(field, "expected a number, got a boolean")
+    if isinstance(value, int):
+        # An integer is a whole number of units: only its range is checked.
+        if abs(value) >= _MAX_MILLI // SCALE:
+            raise ValidationError(field, _TOO_LARGE)
+        return value * SCALE
     if isinstance(value, float):
         value = Decimal(str(value))
     elif isinstance(value, str):
@@ -36,14 +42,12 @@ def to_milli(value, field: str = "value") -> int:
             value = Decimal(value)
         except InvalidOperation:
             raise ValidationError(field, f"not a number: {value!r}") from None
-    elif isinstance(value, int):
-        value = Decimal(value)
     elif not isinstance(value, Decimal):
         raise ValidationError(field, f"expected a number, got {type(value).__name__}")
     if not value.is_finite():
         raise ValidationError(field, "must be finite")
     if value.copy_abs() >= _MAX_MILLI // SCALE:
-        raise ValidationError(field, f"too large: must be below {_MAX_MILLI // SCALE:.0e}")
+        raise ValidationError(field, _TOO_LARGE)
     # A nonzero value below 0.001 fails here, before its exact ratio is built.
     if value and value.adjusted() < -3:
         raise ValidationError(field, "resolution finer than 0.001 is not representable")

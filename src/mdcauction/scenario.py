@@ -75,6 +75,8 @@ class GeneratorParams:
 
     def __post_init__(self):
         _check_bounds(self, _MINIMUMS)
+        # The generator reads its seed modulo 2**64; the seed kept, and named, is that one.
+        object.__setattr__(self, "seed", self.seed % 2**64)
         for name, optional in _RANGES:
             bounds = getattr(self, name)
             if bounds is None and optional:

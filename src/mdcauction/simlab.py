@@ -74,11 +74,13 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
     bids = draws[first_bid:]
     amounts = _scaled(bids[::stride], params.bid_range)
     demands = list(zip(*(_scaled(bids[k::stride], params.demand_range) for k in range(1, stride))))
+    # Each row is built from a list, so its tuple is allocated at its size (see
+    # ``mechanisms.run_srmra``).
     matrix = [
-        tuple(
+        tuple([
             Bid(i, amount, ResourceVector(demand))
             for amount, demand in zip(amounts[i::n], demands[i::n])
-        )
+        ])
         for i in range(n)
     ]
     return Scenario(
@@ -240,8 +242,10 @@ def _bootstrap_means(
 
     Indices are drawn a block of whole resamples at a time, so the memory
     beyond the returned means is O(max(n_seeds, BLOCK_LANES)), not
-    O(resamples * n_seeds).  Each mean sums the same floats in the same
-    order as one draw at a time would.
+    O(resamples * n_seeds).  Each label maps the block's indices to its
+    revenues in one pass and sums them ``n_seeds`` at a time, one
+    resample after another: the same floats in the same order as one
+    draw at a time would.
     """
     n_seeds = len(next(iter(revenue_units.values())))
     means: dict[str, list[float]] = {label: [] for label in revenue_units}
@@ -249,10 +253,9 @@ def _bootstrap_means(
     for first in range(0, resamples, per_block):
         block = min(per_block, resamples - first)
         indices = rng.randints(0, n_seeds - 1, block * n_seeds)
-        for start in range(0, block * n_seeds, n_seeds):
-            idx = indices[start : start + n_seeds]
-            for label, revenue in revenue_units.items():
-                means[label].append(sum(map(revenue.__getitem__, idx)) / n_seeds)
+        for label, revenue in revenue_units.items():
+            drawn = map(revenue.__getitem__, indices)
+            means[label] += [sum(row) / n_seeds for row in zip(*[drawn] * n_seeds)]
     return means
 
 

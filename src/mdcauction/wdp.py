@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import attrgetter, lshift, mul, sub
+from operator import attrgetter, indexOf, lshift, mul, sub
 
 from .errors import InvariantViolation, ValidationError
 from .model import Assignment, Bid, ResourceVector
@@ -89,9 +89,13 @@ class WdpInstance:
         which both bounds still hold (see ``_layout``).  Raises
         ValidationError if ``buyer_id`` has no bid in this round.
         """
-        bids = tuple(b for b in self.bids if b.buyer_id != buyer_id)
-        if len(bids) == len(self.bids):
-            raise ValidationError("buyer_id", f"buyer {buyer_id} has no bid in this round")
+        try:
+            k = indexOf(map(attrgetter("buyer_id"), self.bids), buyer_id)
+        except ValueError:
+            raise ValidationError(
+                "buyer_id", f"buyer {buyer_id} has no bid in this round"
+            ) from None
+        bids = self.bids[:k] + self.bids[k + 1 :]
         others = object.__new__(WdpInstance)
         vars(others).update(bids=bids, seller_caps=self.seller_caps, dimension=self.dimension)
         if "_setup" in vars(self):
@@ -419,7 +423,10 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
     so no other call in its state is reached before it returns, and a
     search that stops or runs out reads ``seen`` no more.  ``seen`` is
     emptied when the search returns or raises (see ``solve_exact`` for
-    why a skipped state holds no better leaf).  Without ``pool``,
+    why a skipped state holds no better leaf).  On every exit the search
+    also unbinds ``descend``, which refers to itself, so reference
+    counting frees each search and the cyclic collector has nothing of
+    it to find.  Without ``pool``,
     ``gcd`` is 1, ``low`` is 0 and a call does none of this: that is
     phase 0's search.
     """
@@ -506,17 +513,18 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
         if stop:
             raise _Stop
 
-    if node_budget < 1:
-        raise SearchBudgetExceeded(node_budget, incumbent(False))
     try:
+        if node_budget < 1:
+            raise SearchBudgetExceeded(node_budget, incumbent(False))
         if suffix[0] >= target and start + rsum[0] >= bar:
             descend(0, 0, start)
     except _Stop:
         pass
     finally:
-        # ``descend`` refers to itself, so this closure is a cycle that only the
-        # collector frees; the table goes now.
+        # ``descend`` refers to itself; unbinding it breaks that cycle on every
+        # exit, so reference counting frees the search, and the table goes now.
         seen.clear()
+        descend = None
     return incumbent(True), nodes
 
 

@@ -445,6 +445,20 @@ class TestCompareCommand:
         assert capsys.readouterr().out.splitlines()[0].endswith(f"bootstrap_resamples=1000{named}")
         assert out.read_text().splitlines()[0].endswith(f"rng=splitmix64{named}")
 
+    def test_a_seed_past_the_generator_range_is_named_as_the_seed_used(self, tmp_path, capsys):
+        # The generator takes its seed modulo 2**64, so -1 is 2**64 - 1.
+        printed = []
+        for seed in ("-1", str(2**64 - 1)):
+            out = tmp_path / f"{seed}.csv"
+            assert main([
+                "compare", "default", "--seeds", "2", "--seed", seed,
+                "--out", str(out), "--no-header",
+            ]) == 0
+            printed.append((capsys.readouterr().out, out.read_text()))
+        assert printed[0] == printed[1]
+        assert f" base_seed={2**64 - 1} " in printed[0][0].splitlines()[0]
+        assert f" base_seed={2**64 - 1} " in printed[0][1].splitlines()[0]
+
     def test_compare_reproducible(self, params_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

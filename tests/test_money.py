@@ -58,6 +58,26 @@ def test_the_largest_amounts_below_the_bound_convert_exactly():
         to_milli("1e-999999999")
 
 
+def _converted(value):
+    """``to_milli(value, "amount")``, or the message it raises."""
+    try:
+        return to_milli(value, "amount")
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_an_integer_converts_as_its_decimal_does():
+    # Integers are scaled directly; the Decimal path is the definition.
+    rng = random.Random(25)
+    edges = [v for m in (10**25 - 1, 10**25, 10**25 + 1) for v in (m, -m)]
+    randoms = [rng.randint(-(10**26), 10**26) for _ in range(500)]
+    randoms += [rng.randint(-(10**6), 10**6) for _ in range(500)]
+    for value in edges + randoms + [0]:
+        assert _converted(value) == _converted(Decimal(value)), value
+    assert _converted(10**25) == "amount: too large: must be below 1e+25"
+    assert _converted(-(10**25 - 1)) == -(10**28 - 1000)
+
+
 def test_format_is_fixed_three_decimals():
     assert format_milli(9000) == "9.000"
     assert format_milli(2222) == "2.222"

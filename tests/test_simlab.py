@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from mdcauction import (
 )
 from mdcauction.model import Bid, Buyer, ResourceVector, Seller
 from mdcauction.money import SCALE
-from mdcauction.rng import SplitMix64
+from mdcauction.rng import BLOCK_LANES, SplitMix64
 from mdcauction.scenario import Scenario
 from mdcauction.simlab import _bootstrap_means, _improvement_pct, _percentile
 from helpers import (
@@ -294,6 +295,24 @@ class TestCompare:
             assert (pair.ci_low, pair.ci_high) == (
                 _percentile(resampled, 0.025), _percentile(resampled, 0.975)
             )
+
+    @pytest.mark.parametrize("n_seeds", [1, 2, 3, 100, BLOCK_LANES + 1])
+    def test_bootstrap_means_are_the_one_resample_at_a_time_means_float_for_float(self, n_seeds):
+        # Two blocks of resamples and 7 more, so the last block is partial;
+        # past BLOCK_LANES seeds every block is one resample.
+        per_block = max(1, BLOCK_LANES // n_seeds)
+        resamples = 2 * per_block + 7
+        draw = random.Random(n_seeds)
+        revenue = {label: [draw.uniform(0, 1000) for _ in range(n_seeds)] for label in "ab"}
+        rng = SplitMix64(11)
+        expected = {label: [] for label in revenue}
+        for _ in range(resamples):
+            idx = [rng.randint(0, n_seeds - 1) for _ in range(n_seeds)]
+            for label, values in revenue.items():
+                expected[label].append(sum(values[i] for i in idx) / n_seeds)
+        means = _bootstrap_means(SplitMix64(11), revenue, resamples)
+        for label in revenue:
+            assert list(map(float.hex, means[label])) == list(map(float.hex, expected[label]))
 
     def test_bootstrap_memory_does_not_grow_with_resamples(self):
         # The means themselves grow with the resamples; the memory above them

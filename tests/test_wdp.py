@@ -1,3 +1,4 @@
+import gc
 import random
 from bisect import bisect_right
 from unittest import mock
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdcauction import (
+    AuctionLedger,
     Bid,
     GeneratorParams,
+    MechanismConfig,
     ResourceVector,
     SearchBudgetExceeded,
     ValidationError,
@@ -15,6 +18,7 @@ from mdcauction import (
     WdpSolution,
     generate_scenario,
     mechanisms,
+    run_srmra,
     solve_exact,
     solve_greedy,
 )
@@ -950,3 +954,54 @@ def test_a_round_at_the_exact_buyer_cap_solves():
         solve_exact(crowded)
     # The crowded round has no setup to derive from, so this one is laid out afresh.
     assert solve_exact(crowded.without(n)) == solution
+
+
+def test_every_exit_of_a_search_leaves_no_cycle_for_the_collector(monkeypatch):
+    # Each search unbinds its self-referring ``descend`` on the way out, so
+    # reference counting frees the search however it ends: returned, stopped
+    # at its first leaf in phase 2, or out of nodes inside the search or
+    # before its first node.  The collector is off while the solves run and
+    # is asked after each what it finds to reclaim.
+    phases = []
+    search = wdp._search
+
+    def spy(setup, node_budget, best_value, stop=False, pool=None):
+        phases.append(2 if stop else 1 if pool else 0)
+        return search(setup, node_budget, best_value, stop, pool)
+
+    monkeypatch.setattr(wdp, "_search", spy)
+    budget = wdp.DEFAULT_NODE_BUDGET
+    cases = [
+        # (round, node budget, phases entered, proven)
+        (ladder_instance(10, 1, 101), budget, [0], True),  # a default-profile round
+        (ladder_instance(15, 2, 107), budget, [0, 1], True),  # phase 1 proves phase 0's incumbent
+        (ladder_instance(15, 2, 101), budget, [0, 1, 2], True),  # phase 2 stops at its first leaf
+        (ladder_instance(15, 2, 101), 4140, [0, 1, 2], False),  # phase 2 runs out
+        (ladder_instance(40, 4, 101), 5000, [0, 1], False),  # phase 1 runs out
+        (ladder_instance(10, 1, 101), 0, [0], False),  # no node to spend
+    ]
+    scenario = generate_scenario(GeneratorParams(n_buyers=10, m_sellers=1, horizon=1, seed=101))
+    ledger = AuctionLedger.new(scenario.buyers, scenario.sellers)
+    round_bids = [row[0] for row in scenario.bid_matrix]
+    critical = MechanismConfig(pricing="critical_value")
+    reclaimed, taken = [], []
+    gc.collect()
+    gc.disable()
+    try:
+        for instance, node_budget, _phases, _proven in cases:
+            phases.clear()
+            try:
+                proven = solve_exact(instance, node_budget).optimal
+            except SearchBudgetExceeded:
+                proven = False
+            taken.append((phases.copy(), proven))
+            reclaimed.append(gc.collect())
+        phases.clear()
+        outcome = run_srmra(round_bids, scenario.sellers, ledger, critical)
+        reclaimed.append(gc.collect())
+    finally:
+        gc.enable()
+    assert taken == [(entered, proven) for _i, _b, entered, proven in cases]
+    # one solve for the round, and one for the round without each winner
+    assert phases.count(0) == 1 + len(outcome.winners.pairs) > 1
+    assert reclaimed == [0] * (len(cases) + 1)
