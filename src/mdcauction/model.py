@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import InvariantViolation, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceVector:
     """Non-negative resource quantities, one slot per dimension.
 
@@ -105,7 +105,7 @@ class Seller:
             raise ValidationError(f"sellers[{self.id}].ask", "must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bid:
     """One buyer's offer for one round: money plus demanded resources.
 

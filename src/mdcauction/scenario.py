@@ -102,9 +102,10 @@ _SCENARIO_MINIMUMS = {"horizon": 0, "dimensions": 1}
 # Rounds and dimensions are looped over even with no buyers or sellers, so
 # without a maximum a file of a few bytes can run for hours.
 _MAXIMUMS = {"horizon": 100_000, "dimensions": 64}
-# Draws taken by ``simlab.generate_scenario``.  A generated bid holds about
-# 680 B at 3 dimensions; at this cap generation peaks near 185 MiB
-# (CPython 3.11, 1000 buyers x 261 rounds).
+# Draws taken by ``simlab.generate_scenario``.  At this cap (CPython 3.11,
+# 1000 buyers x 261 rounds at 3 dimensions) generation peaks near 140 MiB,
+# about 490 B a bid, with the default ranges, and near 172 MiB, about 620 B
+# a bid, when no two demands are equal.
 MAX_DRAWS = 2**20
 # (name, may be None) for each range, in field order; built once, since
 # ``replace(params, seed=...)`` runs ``__post_init__`` for every seed.
@@ -171,8 +172,8 @@ class Scenario:
             for l, bid in enumerate(row):
                 if bid.buyer_id != i:
                     raise ValidationError(f"bids[{i}][{l}]", "buyer_id mismatch")
-                if len(bid.demand) != self.dimensions:
+                if len(bid.demand.units) != self.dimensions:
                     raise ValidationError(
                         f"bids[{i}][{l}].demand",
-                        f"expected {self.dimensions} components, got {len(bid.demand)}",
+                        f"expected {self.dimensions} components, got {len(bid.demand.units)}",
                     )

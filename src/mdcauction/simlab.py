@@ -51,7 +51,10 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
     Generated amounts are true valuations, so budget-aware mechanisms
     may adjust them.  The whole scenario is one ``next_u64s`` call, cut
     into the fields above and reduced to their ranges as ``randint``
-    would, so the draws are those of one call per value.
+    would, so the draws are those of one call per value.  Bids with
+    equal demands share one ``ResourceVector``: it is immutable and
+    compares by value, so the scenario is the one a vector per bid
+    would give.
     """
     dims, n = params.dimensions, params.n_buyers
     period = params.period_capacity_range
@@ -74,13 +77,12 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
     bids = draws[first_bid:]
     amounts = _scaled(bids[::stride], params.bid_range)
     demands = list(zip(*(_scaled(bids[k::stride], params.demand_range) for k in range(1, stride))))
+    shared = {demand: ResourceVector(demand) for demand in set(demands)}
+    demands = list(map(shared.__getitem__, demands))
     # Each row is built from a list, so its tuple is allocated at its size (see
     # ``mechanisms.run_srmra``).
     matrix = [
-        tuple([
-            Bid(i, amount, ResourceVector(demand))
-            for amount, demand in zip(amounts[i::n], demands[i::n])
-        ])
+        tuple([Bid(i, amount, demand) for amount, demand in zip(amounts[i::n], demands[i::n])])
         for i in range(n)
     ]
     return Scenario(

@@ -60,8 +60,8 @@ class WdpInstance:
         dimension = None
         for seller_id, cap in self.seller_caps.items():
             if dimension is None:
-                dimension = len(cap)
-            elif len(cap) != dimension:
+                dimension = len(cap.units)
+            elif len(cap.units) != dimension:
                 raise ValidationError(
                     f"seller_caps[{seller_id}]", "inconsistent resource dimension"
                 )
@@ -71,8 +71,8 @@ class WdpInstance:
                 raise ValidationError("bids", f"buyer {bid.buyer_id} bids twice")
             seen.add(bid.buyer_id)
             if dimension is None:
-                dimension = len(bid.demand)
-            elif len(bid.demand) != dimension:
+                dimension = len(bid.demand.units)
+            elif len(bid.demand.units) != dimension:
                 raise ValidationError(
                     f"bids[{bid.buyer_id}].demand", "inconsistent resource dimension"
                 )
@@ -210,10 +210,10 @@ def _pooled_multiplier(amounts: list[int], demands: list, totals: list[int]):
             k = j
     if k is None:
         return None
-    dense = [(amounts[i], d[k], i) for i, d in enumerate(demands) if d[k]]
-    _by_density(dense)
+    dense = [i for i, d in enumerate(demands) if d[k]]
+    prices, scales = [amounts[i] for i in dense], [demands[i][k] for i in dense]
     left = totals[k]
-    for price, scale, _i in dense:
+    for _key, _i, price, scale in sorted(zip(_by_density(prices, scales), dense, prices, scales)):
         left -= scale
         if left < 0:
             break
@@ -696,9 +696,11 @@ def _pool_bound(instance: WdpInstance, setup, multipliers):
 
     tests = [[] for _ in range(n + 1)]
     for (k, total, ahead), shift in zip(kept, shifts):
-        dense = [(amounts[i], demands[i][k], i) for i in range(n) if demands[i][k]]
-        _by_density(dense)
-        order = [(amounts[i], 0, i) for i in range(n) if not demands[i][k]] + dense
+        dense = [i for i in range(n) if demands[i][k]]
+        weights = [demands[i][k] for i in dense]
+        ranked = sorted(zip(_by_density([amounts[i] for i in dense], weights), dense, weights))
+        order = [(amounts[i], 0, i) for i in range(n) if not demands[i][k]]
+        order += [(amounts[i], d, i) for _key, i, d in ranked]
         for i in range(n):
             if ahead[i] <= total:
                 break
@@ -726,31 +728,35 @@ def _scale(instance: WdpInstance) -> tuple[int, list[int]]:
     return lcm, [lcm // t for t in norms]
 
 
-def _by_density(rows: list) -> None:
-    """Sort ``rows`` of ``(amount, weight, tie, ...)`` by descending amount / weight, then ``tie``.
+def _by_density(amounts: list[int], weights: list[int]) -> list[int]:
+    """Sort keys, ascending, for descending ``amounts[i] / weights[i]``.
 
-    Every weight is positive.  The key is floor(amount * S / weight) with
-    S the largest weight squared: two different ratios differ by at least
-    1 / S, so their keys differ in the same direction, and equal ratios
-    get equal keys.
+    Every weight is positive.  The key is -floor(amount * S / weight)
+    with S the largest weight squared: two different ratios differ by at
+    least 1 / S, so their keys differ in the same direction, and equal
+    ratios get equal keys.  Callers sort ``(key, tie, ...)`` tuples with
+    a unique tie, so equal ratios go to the lower tie.
     """
-    scale = max((row[1] for row in rows), default=0) ** 2
-    rows.sort(key=lambda row: (-(row[0] * scale // row[1]), row[2]))
+    scale = max(weights, default=0) ** 2
+    return [-(a * scale // w) for a, w in zip(amounts, weights)]
 
 
 def _ranked(instance: WdpInstance, lcm: int, units: list[int]) -> list:
-    """``(amount, weight, buyer_id, bid, need)`` for each positive bid, in greedy's rank order.
+    """``(key, buyer_id, weight, bid, need)`` for each positive bid, in greedy's rank order.
 
     ``need[k] = d_k * units[k]`` and ``weight = L + sum(need)``, L times
-    the bid's normalized weight; bids rank by descending amount / weight,
-    ties to the lower buyer id.
+    the bid's normalized weight; ``key`` is ``_by_density``'s key of
+    amount / weight.  The rows are plain tuples sorted as they stand:
+    by descending amount / weight, ties to the lower buyer id, which is
+    unique, so no comparison reaches ``weight``.  With no dimensions
+    ``need`` is ``[0]``, so ``min`` over it never sees an empty list.
     """
-    rows = []
-    for bid in instance.bids:
-        if bid.amount > 0:
-            need = list(map(mul, bid.demand.units, units))
-            rows.append((bid.amount, lcm + sum(need), bid.buyer_id, bid, need))
-    _by_density(rows)
+    bids = [bid for bid in instance.bids if bid.amount > 0]
+    needs = [list(map(mul, bid.demand.units, units)) or [0] for bid in bids]
+    weights = [lcm + sum(need) for need in needs]
+    keys = _by_density([bid.amount for bid in bids], weights)
+    rows = list(zip(keys, [bid.buyer_id for bid in bids], weights, bids, needs))
+    rows.sort()
     return rows
 
 
@@ -760,17 +766,19 @@ def _greedy_placements(instance: WdpInstance, lcm: int, units: list[int]):
     This is ``solve_greedy``'s rule with every quantity multiplied by L:
     ``weight = L + sum_k d_k * units[k]``, and ``room`` is the seller's
     residual after the placement, scaled by ``units``.  A seller fits
-    when its least slack ``(room_k - d_k) * units[k]`` is >= 0.
+    when its least slack ``(room_k - d_k) * units[k]`` is >= 0.  With no
+    dimensions every room and need is ``[0]``, so every slack is 0 and
+    every seller fits.
     """
     rooms = [
-        (s, list(map(mul, instance.seller_caps[s].units, units)))
+        (s, list(map(mul, instance.seller_caps[s].units, units)) or [0])
         for s in sorted(instance.seller_caps)
     ]
-    for _amount, weight, _buyer_id, bid, need in _ranked(instance, lcm, units):
+    for _key, _buyer_id, weight, bid, need in _ranked(instance, lcm, units):
         best = best_room = None
         best_slack = -1
         for s, room in rooms:
-            slack = min(map(sub, room, need), default=0)
+            slack = min(map(sub, room, need))
             if slack > best_slack:
                 best, best_room, best_slack = s, room, slack
         if best is None:
@@ -788,9 +796,10 @@ def solve_greedy(instance: WdpInstance) -> WdpSolution:
     is placed with the feasible seller keeping the most normalized
     slack (max of the minimum normalized residual).  Ties fall to the
     lower buyer id, then the lower seller id.  Scaling every normalized
-    quantity by the lcm of the capacity totals makes it an integer, and
-    densities are ordered by an exact integer key (see ``_by_density``
-    and ``_greedy_placements``).
+    quantity by the lcm of the capacity totals makes it an integer:
+    ``_ranked`` orders the densities by an exact integer key computed
+    once per bid (``_by_density``), and ``_greedy_placements`` compares
+    slacks in those units.
     """
     lcm, units = _scale(instance)
     pairs: list[tuple[int, int]] = []
@@ -816,11 +825,11 @@ def greedy_threshold(others: WdpInstance, own: Bid) -> int:
     positive amount wins, so it pays 1.
     """
     lcm, units = _scale(others)
-    need = list(map(mul, own.demand.units, units))
+    need = list(map(mul, own.demand.units, units)) or [0]
     weight = lcm + sum(need)
     fitting = {s for s, cap in others.seller_caps.items() if own.demand.fits_within(cap)}
     for bid, bid_weight, seller, room in _greedy_placements(others, lcm, units):
-        if seller in fitting and min(map(sub, room, need), default=0) < 0:
+        if seller in fitting and min(map(sub, room, need)) < 0:
             fitting.discard(seller)
             if not fitting:
                 bar, rest = divmod(bid.amount * weight, bid_weight)

@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from mdcauction import (
     Assignment,
     AuctionLedger,
+    Bid,
     Buyer,
     InvariantViolation,
     ResourceVector,
@@ -51,6 +56,21 @@ class TestResourceVector:
     def test_subtraction_underflow_is_a_bug(self):
         with pytest.raises(InvariantViolation):
             rv(1, 1) - rv(2, 0)
+
+
+@pytest.mark.parametrize(
+    "value, field, other",
+    [(rv(1, 2), "units", (3, 4)), (Bid(2, 5000, rv(1, 2)), "amount", 7000)],
+)
+def test_value_types_copy_hash_and_compare_by_value(value, field, other):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert twin == value and twin is not value
+        assert hash(twin) == hash(value)
+    assert len({value, copy.copy(value)}) == 1
+    changed = dataclasses.replace(value, **{field: other})
+    assert changed != value and getattr(changed, field) == other
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, other)
 
 
 class TestAssignment:

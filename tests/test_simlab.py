@@ -16,6 +16,7 @@ from mdcauction import (
     compute_metrics,
     evaluate,
     generate_scenario,
+    io,
     replay,
     run_repeated_srmra,
     simlab,
@@ -39,6 +40,28 @@ class TestGenerator:
     def test_same_seed_same_scenario(self):
         params = GeneratorParams(n_buyers=5, m_sellers=2, horizon=6, seed=123)
         assert generate_scenario(params) == generate_scenario(params)
+
+    def test_equal_demands_share_one_vector(self):
+        params = GeneratorParams(n_buyers=6, m_sellers=2, horizon=10, seed=9, demand_range=(1, 2))
+        scenario = generate_scenario(params)
+        bids = [bid for row in scenario.bid_matrix for bid in row]
+        shared = {}
+        for bid in bids:
+            assert shared.setdefault(bid.demand.units, bid.demand) is bid.demand
+        assert len(shared) < len(bids)
+        # The same scenario with a vector of its own for every bid.
+        fresh = replace(scenario, bid_matrix=tuple(
+            tuple(replace(bid, demand=ResourceVector(bid.demand.units)) for bid in row)
+            for row in scenario.bid_matrix
+        ))
+        assert not any(
+            a.demand is b.demand for a, b in zip(bids, (b for row in fresh.bid_matrix for b in row))
+        )
+        assert fresh == scenario
+        mechanism = MechanismConfig()
+        assert io.dump_json(io.scenario_to_doc(fresh, mechanism)) == io.dump_json(
+            io.scenario_to_doc(scenario, mechanism)
+        )
 
     def test_different_seeds_differ(self):
         a = GeneratorParams(n_buyers=5, m_sellers=2, horizon=6, seed=123)
@@ -317,7 +340,8 @@ class TestCompare:
     def test_bootstrap_memory_does_not_grow_with_resamples(self):
         # The means themselves grow with the resamples; the memory above them
         # holds one block of indices, not resamples x seeds of them.
-        revenue = {label: [float(i % 97) for i in range(1000)] for label in ("a", "b")}
+        # 200 seeds: 20 resamples a block, so 4000 resamples take 200 blocks.
+        revenue = {label: [float(i % 97) for i in range(200)] for label in ("a", "b")}
         peaks = {}
         for resamples in (1000, 4000):
             tracemalloc.start()

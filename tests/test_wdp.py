@@ -291,25 +291,27 @@ def greedy_instances(draw):
 
     Dimension 0, zero capacities, zero demands, zero bids and amounts up
     to 10**12 all occur; clones of earlier bids (same amount and demand,
-    another id) force equal densities.
+    another id) force equal densities.  Buyer ids are sparse and the bids
+    come in any order, so the rank cannot lean on either.
     """
     d = draw(st.integers(0, 4))
     m = draw(st.integers(0, 5))
     n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
     amount = st.one_of(st.integers(0, 8), st.integers(0, 20_000), st.integers(0, 10**12))
     bids = []
-    for i in range(n):
+    for buyer_id in ids:
         if bids and draw(st.booleans()):
             twin = draw(st.sampled_from(bids))
-            bids.append(Bid(i, twin.amount, twin.demand))
+            bids.append(Bid(buyer_id, twin.amount, twin.demand))
             continue
         demand = tuple(draw(st.integers(0, 5)) for _ in range(d))
-        bids.append(Bid(i, draw(amount), ResourceVector(demand)))
+        bids.append(Bid(buyer_id, draw(amount), ResourceVector(demand)))
     caps = {
         2 * j + 1: ResourceVector(tuple(draw(st.integers(0, 10)) for _ in range(d)))
         for j in range(m)
     }
-    return WdpInstance(tuple(bids), caps)
+    return WdpInstance(tuple(draw(st.permutations(bids))), caps)
 
 
 @settings(max_examples=400, deadline=None)
