@@ -322,7 +322,9 @@ def compare(
         for label in labels
     )
 
-    resample_means = _bootstrap_means(rng, revenue_units, bootstrap_resamples)
+    # Only a pair reads the resample means, and nothing reads the stream after them.
+    if len(labels) > 1:
+        resample_means = _bootstrap_means(rng, revenue_units, bootstrap_resamples)
     pairwise = []
     for label_a in labels:
         for label_b in labels:

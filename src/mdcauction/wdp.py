@@ -165,8 +165,9 @@ class WdpInstance:
         its total there is no multiplier: ``scale`` and ``base`` are 0 and
         so are all margins.
 
-        A search writes only to ``rooms``, and works on its own copy of it:
-        one cut short by its node budget leaves its copy changed.  Raises
+        ``_search`` writes only to ``rooms``, and works on its own copy of
+        it: one cut short by its node budget leaves its copy changed;
+        ``_search_one`` and ``_first_fit`` write to nothing.  Raises
         ValidationError past ``MAX_EXACT_BUYERS`` bids.
         """
         n = len(bids)
@@ -307,6 +308,15 @@ def solve_exact(
 
     0. The search above, its incumbent started at ``floor``, for at most
        ``SWITCH_NODES`` nodes.  If it finishes, that is the answer.
+       On a round with one seller it is ``_search_one``, the same
+       search without a seller loop, and ``floor`` is first raised to
+       ``_first_fit``'s value less one: that fit is feasible, so the
+       raised floor is still below the optimum, and phases 1 and 2
+       start from it too.  A round with more sellers keeps ``floor``:
+       there phase 0's incumbent sets phase 1's subgradient target, and
+       a higher one is no sure gain (starting phase 1 from greedy's
+       value cut its nodes on the 20 x 2 ladder and added to them at
+       30 x 2).
     1. The same search over the bids in greedy's density order
        (``WdpInstance._dense_setup``; Kellerer, Pferschy & Pisinger,
        *Knapsack Problems*, 2004, ch. 9), its incumbent started at v0,
@@ -353,8 +363,12 @@ def solve_exact(
     """
     setup = instance._setup
     first = min(node_budget, SWITCH_NODES)
+    phase_0 = _search
+    if len(setup[5]) == 1:
+        phase_0 = _search_one
+        floor = max(floor, _first_fit(setup) - 1)
     try:
-        return _search(setup, first, floor)[0]
+        return phase_0(setup, first, floor)[0]
     except SearchBudgetExceeded as exc:
         found = [exc.best]
     if node_budget > first:
@@ -428,7 +442,8 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
     counting frees each search and the cyclic collector has nothing of
     it to find.  Without ``pool``,
     ``gcd`` is 1, ``low`` is 0 and a call does none of this: that is
-    phase 0's search.
+    phase 0's search on a round with two or more sellers, and
+    ``_search_one`` is the same search on a round with one.
     """
     bids, amounts, guard, rooms, needs, sellers, suffix, base, scale, margins, rsum = setup
     rooms = list(rooms)
@@ -524,6 +539,83 @@ def _search(setup, node_budget: int, best_value: int, stop: bool = False, pool=N
         # ``descend`` refers to itself; unbinding it breaks that cycle on every
         # exit, so reference counting frees the search, and the table goes now.
         seen.clear()
+        descend = None
+    return incumbent(True), nodes
+
+
+def _first_fit(setup) -> int:
+    """The value of a first fit into the one seller of ``setup``: the bids by
+    descending margin, ties in the layout's order, each taken if it fits."""
+    _bids, amounts, guard, (room,), needs, _sellers, _suffix, _base, _scale, margins, _ = setup
+    value = 0
+    for i in sorted(range(len(amounts)), key=margins.__getitem__, reverse=True):
+        left = room - needs[i]
+        if left & guard == guard:
+            room = left
+            value += amounts[i]
+    return value
+
+
+def _search_one(setup, node_budget: int, best_value: int):
+    """``_search(setup, node_budget, best_value)`` for a layout with one seller.
+
+    It expands the same nodes in the same order, cuts by the same
+    bounds, and returns the same ``(incumbent, nodes expanded)`` or
+    raises SearchBudgetExceeded at the same node with the same best
+    leaf.  With one seller there is no seller loop: the seller's packed
+    residual travels down as an argument, so nothing is written and
+    restored, and a flag per buyer says whether the path assigns it.
+    Like ``_search`` it unbinds ``descend`` on every exit.  The
+    recursion keeps the name ``descend``: ``bench/tracing.py`` counts
+    calls of that name.
+    """
+    bids, amounts, guard, (start,), needs, (seller,), suffix, base, scale, margins, rsum = setup
+    n = len(amounts)
+    target = best_value + 1
+    bar = target * scale - base
+    # taken[i]: the path searched assigns buyer i; best is taken as it was at the incumbent's leaf.
+    taken, best = [False] * n, [False] * n
+    nodes = 1
+
+    def incumbent(optimal: bool) -> WdpSolution:
+        # A search cut short with no pairs reports 0, not the value it started from.
+        pairs = Assignment([(b.buyer_id, seller) for b, t in zip(bids, best) if t])
+        return WdpSolution(pairs, best_value if pairs or optimal else 0, optimal)
+
+    def descend(i: int, value: int, reduced: int, room: int) -> None:
+        # The node was counted and passed both cuts before the call.
+        nonlocal best_value, best, target, bar, nodes
+        while i < n:
+            left = room - needs[i]
+            if left & guard == guard:
+                nodes += 1
+                if nodes > node_budget:
+                    raise SearchBudgetExceeded(node_budget, incumbent(False))
+                reach = value + amounts[i]
+                reach_reduced = reduced + margins[i]
+                if reach + suffix[i + 1] >= target and reach_reduced + rsum[i + 1] >= bar:
+                    taken[i] = True
+                    descend(i + 1, reach, reach_reduced, left)
+                    taken[i] = False
+            i += 1
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceeded(node_budget, incumbent(False))
+            if value + suffix[i] < target or reduced + rsum[i] < bar:
+                return
+        # A leaf past the suffix cut is worth more than the incumbent.
+        best_value = value
+        best = taken.copy()
+        target = value + 1
+        bar = target * scale - base
+
+    try:
+        if node_budget < 1:
+            raise SearchBudgetExceeded(node_budget, incumbent(False))
+        if suffix[0] >= target and rsum[0] >= bar:
+            descend(0, 0, 0, start)
+    finally:
+        # ``descend`` refers to itself; unbinding it frees the search by reference counting.
         descend = None
     return incumbent(True), nodes
 

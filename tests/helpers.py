@@ -28,8 +28,9 @@ def recheck_run_invariants(scenario: Scenario, result, first_price: bool = True)
 
     Independent of AuctionLedger: tracks remaining budgets and period
     capacity directly from the outcomes and asserts no overdraft, no
-    per-round or period capacity overrun, and (for pay-your-bid
-    mechanisms) the revenue = utility identity.  Pass
+    per-round or period capacity overrun, no winner paying below 0 or
+    above its bid, and (for pay-your-bid mechanisms) the revenue =
+    utility identity.  Pass
     ``first_price=False`` for the double auction, which prices trades
     at bid/ask midpoints, and for critical-value pricing.
     """
@@ -58,6 +59,10 @@ def recheck_run_invariants(scenario: Scenario, result, first_price: bool = True)
                 for k, q in enumerate(load):
                     period[seller_id][k] -= q
         for buyer_id, payment in outcome.payments.items():
+            assert 0 <= payment <= outcome.bids[buyer_id], (
+                f"round {outcome.round}: buyer {buyer_id} pays {payment} on a bid of "
+                f"{outcome.bids[buyer_id]}"
+            )
             assert payment <= remaining[buyer_id], f"round {outcome.round}: overdraft"
             remaining[buyer_id] -= payment
             assert remaining[buyer_id] >= 0

@@ -2,8 +2,8 @@
 
 Each test prints one ``ACCEPTANCE <n> PASS/FAIL`` line (visible with
 ``pytest -s`` or in captured output).  Criterion 7 is asserted exactly
-as specified and currently fails; the measured numbers are printed and
-the blocking analysis lives in the project notes outside the package.
+as specified and currently fails; the measured numbers are printed, and
+the README's paragraph on criterion 7 explains the gap.
 """
 
 import time

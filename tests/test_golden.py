@@ -79,6 +79,11 @@ CASES = {
     ),
     "compare_users40": (["compare", "users40", "--seeds", "2", "--out", "out.csv"], "out.csv"),
     "compare_cv": (["compare", "cv-default.json", "--seeds", "3", "--out", "out.csv"], "out.csv"),
+    # One mechanism: nothing to compare it with, so no bootstrap is drawn.
+    "compare_cv_mafl": (
+        ["compare", "cv-default.json", "--seeds", "3", "--mechanisms", "mafl", "--out", "out.csv"],
+        "out.csv",
+    ),
     "compare_cv_sellers": (
         ["compare", "cv-sellers.json", "--seeds", "4",
          "--mechanisms", "mafl,repeated_srmra", "--out", "out.csv"],

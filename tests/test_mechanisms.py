@@ -386,19 +386,21 @@ def test_scaled_ask_equals_the_fraction_formula(data):
 
 def test_no_overdraft_across_thousand_seeded_scenarios():
     # small contested scenarios; the ledger recheck catches any overdraft,
-    # capacity overrun, or broken first-price identity
+    # capacity overrun, payment above a bid, or broken first-price identity
+    critical = MechanismConfig(pricing="critical_value")
     for seed in range(1000):
         params = GeneratorParams(
             n_buyers=4, m_sellers=1, horizon=6, seed=seed,
             budget_range=(5, 30), capacity_range=(4, 8),
         )
         scenario = generate_scenario(params)
-        for runner, first_price in (
-            (run_mafl, True),
-            (run_repeated_srmra, True),
-            (run_double_auction, False),
+        for runner, config, first_price in (
+            (run_mafl, MechanismConfig(), True),
+            (run_repeated_srmra, MechanismConfig(), True),
+            (run_mafl, critical, False),
+            (run_double_auction, MechanismConfig(), False),
         ):
-            result = runner(scenario)
+            result = runner(scenario, config)
             recheck_run_invariants(scenario, result, first_price=first_price)
             assert all(v >= 0 for v in result.ledger.remaining_budget.values())
 

@@ -256,6 +256,15 @@ class TestCompare:
         stat = report.stats[0]
         assert stat.mean_revenue == pytest.approx(sum(revenues) / 7)
 
+    def test_one_mechanism_draws_no_bootstrap(self, monkeypatch):
+        def no_bootstrap(*args):
+            raise AssertionError("bootstrap drawn for a single mechanism")
+
+        monkeypatch.setattr(simlab, "_bootstrap_means", no_bootstrap)
+        report = compare(self.params, ["mafl"], n_seeds=4, bootstrap_resamples=10)
+        assert report.pairwise == ()
+        assert report.bootstrap_resamples == 10
+
     def test_validation(self):
         with pytest.raises(ValidationError, match="n_seeds"):
             compare(self.params, ["mafl"], n_seeds=0)

@@ -863,6 +863,66 @@ def test_a_floor_below_the_optimum_returns_the_same_solution(instance, switch, d
     assert solve(instance, wdp.DEFAULT_NODE_BUDGET, floor) == expected
 
 
+@st.composite
+def one_seller_rounds(draw):
+    """A round with one seller: 0-12 bids with sparse ids in arbitrary order,
+    0-3 dimensions, tied and zero amounts, and demands that may exceed the
+    capacity."""
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 12))
+    buyer_ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    amount = st.one_of(st.integers(0, 4), st.integers(0, 10**6))
+    units = st.integers(0, 14)
+    bids = tuple(
+        Bid(b, draw(amount), ResourceVector(tuple(draw(units) for _ in range(d))))
+        for b in buyer_ids
+    )
+    cap = ResourceVector(tuple(draw(st.integers(0, 12)) for _ in range(d)))
+    return WdpInstance(bids, {draw(st.integers(0, 9)): cap})
+
+
+def _searched(search, setup, node_budget, floor):
+    try:
+        return search(setup, node_budget, floor)
+    except SearchBudgetExceeded as exc:
+        return "out of nodes", exc.best
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    one_seller_rounds(),
+    st.one_of(st.sampled_from([0, 1, 2, 10**9]), st.integers(3, 80)),
+    st.data(),
+)
+def test_the_one_seller_search_expands_the_nodes_of_the_general_search(
+    instance, node_budget, data
+):
+    # Same incumbent and node count, or out of nodes at the same node with the same best leaf.
+    setup = instance._setup
+    optimum = wdp._search(setup, 10**9, -1)[0].objective
+    floor = data.draw(st.integers(-1, optimum + 2))
+    one = _searched(wdp._search_one, setup, node_budget, floor)
+    assert one == _searched(wdp._search, setup, node_budget, floor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_seller_rounds(), switches, st.data())
+def test_one_seller_rounds_solve_to_the_least_key_optimum(instance, switch, data):
+    # Phase 0 starts from the first fit less one, and each solve without a
+    # winner from the pricing floor, the round's value less the winner's bid.
+    solve = _phased(switch)
+    amount = {b.buyer_id: b.amount for b in instance.bids}
+    solution = solve(instance, wdp.DEFAULT_NODE_BUDGET)
+    pairs, _optima = least_key_optimum(instance)
+    assert solution == WdpSolution(Assignment(pairs), sum(amount[b] for b, _ in pairs), True)
+    if pairs:
+        winner, _ = data.draw(st.sampled_from(pairs))
+        floor = solution.objective - amount[winner] - 1
+        found = solve(instance.without(winner), wdp.DEFAULT_NODE_BUDGET, floor)
+        pairs, _optima = least_key_optimum(without(instance, winner))
+        assert found == WdpSolution(Assignment(pairs), sum(amount[b] for b, _ in pairs), True)
+
+
 @pytest.mark.parametrize("solved", [False, True])
 def test_without_a_buyer_who_has_no_bid_raises(solved):
     instance = make_instance([3, 4], [(1,), (1,)], [(1,)])
@@ -959,19 +1019,24 @@ def test_a_round_at_the_exact_buyer_cap_solves():
 
 
 def test_every_exit_of_a_search_leaves_no_cycle_for_the_collector(monkeypatch):
-    # Each search unbinds its self-referring ``descend`` on the way out, so
-    # reference counting frees the search however it ends: returned, stopped
-    # at its first leaf in phase 2, or out of nodes inside the search or
-    # before its first node.  The collector is off while the solves run and
-    # is asked after each what it finds to reclaim.
+    # Each search, the one-seller phase 0 too, unbinds its self-referring
+    # ``descend`` on the way out, so reference counting frees the search
+    # however it ends: returned, stopped at its first leaf in phase 2, or out
+    # of nodes inside the search or before its first node.  The collector is
+    # off while the solves run and is asked after each what it finds to reclaim.
     phases = []
-    search = wdp._search
+    search, search_one = wdp._search, wdp._search_one
 
     def spy(setup, node_budget, best_value, stop=False, pool=None):
         phases.append(2 if stop else 1 if pool else 0)
         return search(setup, node_budget, best_value, stop, pool)
 
+    def spy_one(setup, node_budget, best_value):
+        phases.append(0)
+        return search_one(setup, node_budget, best_value)
+
     monkeypatch.setattr(wdp, "_search", spy)
+    monkeypatch.setattr(wdp, "_search_one", spy_one)
     budget = wdp.DEFAULT_NODE_BUDGET
     cases = [
         # (round, node budget, phases entered, proven)
@@ -981,6 +1046,7 @@ def test_every_exit_of_a_search_leaves_no_cycle_for_the_collector(monkeypatch):
         (ladder_instance(15, 2, 101), 4140, [0, 1, 2], False),  # phase 2 runs out
         (ladder_instance(40, 4, 101), 5000, [0, 1], False),  # phase 1 runs out
         (ladder_instance(10, 1, 101), 0, [0], False),  # no node to spend
+        (ladder_instance(10, 1, 101), 10, [0], False),  # out of nodes inside the one-seller search
     ]
     scenario = generate_scenario(GeneratorParams(n_buyers=10, m_sellers=1, horizon=1, seed=101))
     ledger = AuctionLedger.new(scenario.buyers, scenario.sellers)
